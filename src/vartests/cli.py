@@ -15,11 +15,16 @@ from __future__ import annotations
 
 import argparse
 import csv
+import io
+import itertools
 import json
+import math
 import secrets
 import sys
 import warnings
-from typing import Any, Sequence
+from typing import Any, Iterable, Sequence, TextIO
+
+import numpy as np
 
 from .errors import DegenerateDataError, ValidationError
 from .means import AdaptiveConfig, adaptive_anova, anova_f, welch_anova
@@ -42,6 +47,10 @@ __all__ = ["main"]
 _CENTER_CHOICES = ("mean", "median", "trimmed")
 _CORRECTION_CHOICES = ("none", "hines-hines", "obrien")
 _SIDE_CHOICES = ("increasing", "decreasing", "two-sided")
+
+# Characters read per block of a dataset file (then up to the next line
+# break), which bounds the memory a block's columns take while parsing.
+_BLOCK_CHARS = 1 << 20
 
 _REPORT_COLUMNS = (
     "grid_seed",
@@ -69,28 +78,124 @@ def _read_dataset(path: str, group_order: Sequence[str] | None = None) -> Groupe
         handle = open(path, newline="", encoding="utf-8-sig")
     except OSError as exc:
         raise ValidationError(f"cannot read dataset {path!r}: {exc}") from None
-    with handle:
-        reader = csv.DictReader(handle)
-        fields = reader.fieldnames or []
-        for required in ("group", "value"):
-            if required not in fields:
-                raise ValidationError(f"dataset {path!r} is missing the {required!r} column")
-        labels: list[str] = []
-        values: list[float] = []
-        for row_number, row in enumerate(reader, start=2):
-            label = (row.get("group") or "").strip()
-            raw = (row.get("value") or "").strip()
-            if not label:
-                raise ValidationError(f"{path}:{row_number}: empty group label")
-            try:
-                value = float(raw)
-            except ValueError:
-                raise ValidationError(f"{path}:{row_number}: bad value {raw!r}") from None
-            labels.append(label)
-            values.append(value)
+    try:
+        with handle:
+            labels, values = _read_columns(handle, path)
+    except UnicodeDecodeError as exc:
+        raise ValidationError(f"dataset {path!r} is not UTF-8 text ({exc.reason})") from None
     if not labels:
         raise ValidationError(f"dataset {path!r} has no data rows")
     return GroupedSample.from_columns(labels, values, group_order)
+
+
+def _read_columns(handle: TextIO, path: str) -> tuple[list[str], np.ndarray]:
+    """The stripped labels and the values of an open dataset file.
+
+    The file is read in blocks of about ``_BLOCK_CHARS`` characters that
+    end at a line break.  A block of plain lines (no quote, no stray
+    carriage return, exactly one field per header column on every line)
+    is split and converted in bulk.  From the first block that is not
+    plain, or that holds an empty label or a value that is not a finite
+    float, the rest of the file goes through the csv row loop: it
+    handles quoted fields and names the physical line of a bad row.
+    """
+    header_reader = csv.reader(handle)
+    header = next(header_reader, [])
+    for required in ("group", "value"):
+        if required not in header:
+            raise ValidationError(f"dataset {path!r} is missing the {required!r} column")
+    # A repeated column name means its last occurrence, as in csv.DictReader.
+    group_at = len(header) - 1 - header[::-1].index("group")
+    value_at = len(header) - 1 - header[::-1].index("value")
+    lines_read = header_reader.line_num
+    labels: list[str] = []
+    chunks: list[np.ndarray] = []
+    canonical: dict[str, str] = {}
+    while True:
+        text = handle.read(_BLOCK_CHARS)
+        if not text:
+            break
+        text += handle.readline()
+        parsed = _parse_plain_block(text, len(header), group_at, value_at)
+        if parsed is None:
+            rows = itertools.chain(io.StringIO(text, newline=""), handle)
+            block_labels, block_values = _read_rows(rows, path, lines_read, group_at, value_at)
+            labels.extend(block_labels)
+            chunks.append(np.array(block_values, dtype=float))
+            break
+        block_labels, block_values = parsed
+        # Labels repeat: keep one string object per distinct label.
+        labels.extend(map(canonical.setdefault, block_labels, block_labels))
+        chunks.append(block_values)
+        lines_read += text.count("\n")
+    return labels, np.concatenate(chunks) if chunks else np.empty(0)
+
+
+def _parse_plain_block(
+    text: str, width: int, group_at: int, value_at: int
+) -> tuple[list[str], np.ndarray] | None:
+    """Split a block of plain CSV lines into columns, or None if it is not plain."""
+    if '"' in text:
+        return None
+    if "\r" in text:
+        text = text.replace("\r\n", "\n")
+        if "\r" in text:
+            return None
+    if text.endswith("\n"):
+        text = text[:-1]
+    # Every line holds width - 1 commas and ends in a newline (but the
+    # last): the separators must run (width - 1 commas, newline) over and
+    # over.  This also rules out blank lines.  A field longer than the csv
+    # module's limit is left to the row loop to reject.
+    raw = np.frombuffer(text.encode("utf-8"), dtype=np.uint8)
+    separator_at = np.flatnonzero((raw == ord(",")) | (raw == ord("\n")))
+    is_newline = raw[separator_at] == ord("\n")
+    if is_newline.size % width != width - 1:
+        return None
+    if not np.array_equal(is_newline, np.arange(is_newline.size) % width == width - 1):
+        return None
+    if np.diff(separator_at, prepend=-1, append=raw.size).max() - 1 > csv.field_size_limit():
+        return None
+    cells = text.replace("\n", ",").split(",")
+    labels = list(map(str.strip, cells[group_at::width]))
+    if not all(labels):
+        return None
+    try:
+        values = np.array(cells[value_at::width], dtype=np.float64)
+    except ValueError:
+        return None
+    if not np.isfinite(values).all():
+        return None
+    return labels, values
+
+
+def _read_rows(
+    lines: Iterable[str], path: str, lines_before: int, group_at: int, value_at: int
+) -> tuple[list[str], list[float]]:
+    """Parse CSV lines one row at a time; errors cite the physical line."""
+    reader = csv.reader(lines)
+    labels: list[str] = []
+    values: list[float] = []
+    try:
+        for row in reader:
+            if not row:
+                continue  # blank line
+            line = lines_before + reader.line_num
+            label = row[group_at].strip() if group_at < len(row) else ""
+            raw = row[value_at].strip() if value_at < len(row) else ""
+            if not label:
+                raise ValidationError(f"{path}:{line}: empty group label")
+            try:
+                value = float(raw)
+            except ValueError:
+                raise ValidationError(f"{path}:{line}: bad value {raw!r}") from None
+            if not math.isfinite(value):
+                raise ValidationError(f"{path}:{line}: non-finite value {raw!r}")
+            labels.append(label)
+            values.append(value)
+    except csv.Error as exc:
+        raise ValidationError(f"{path}:{lines_before + reader.line_num}: {exc}") from None
+    return labels, values
 
 
 def _parse_group_order(text: str | None) -> list[str] | None:

@@ -121,12 +121,18 @@ def reg_inc_beta(a: float, b: float, x: float) -> float:
     return _reg_inc_beta_xc(a, b, x, 1.0 - x)
 
 
+def _gamma_iterations(s: float) -> int:
+    # Near x = s both gamma expansions need O(sqrt(s)) terms; a fixed cap
+    # fails to converge from s of a few thousand.
+    return _MAX_ITER + int(10.0 * math.sqrt(s))
+
+
 def _gamma_series_p(s: float, x: float) -> float:
     # Lower regularized gamma P(s, x) by power series; good for x < s + 1.
     term = 1.0 / s
     total = term
     denom = s
-    for _ in range(_MAX_ITER):
+    for _ in range(_gamma_iterations(s)):
         denom += 1.0
         term *= x / denom
         total += term
@@ -141,7 +147,7 @@ def _gamma_cf_q(s: float, x: float) -> float:
     c = 1.0 / _TINY
     d = 1.0 / b
     h = d
-    for i in range(1, _MAX_ITER + 1):
+    for i in range(1, _gamma_iterations(s) + 1):
         an = -i * (i - s)
         b += 2.0
         d = an * d + b

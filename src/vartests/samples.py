@@ -136,24 +136,31 @@ class GroupedSample:
         """Build a sample from parallel label/value columns.
 
         Groups are ordered by first appearance unless ``group_order``
-        lists every distinct label explicitly.
+        lists every distinct label explicitly.  Each group keeps its
+        values in input order.
         """
         if len(labels) != len(values):
             raise ValidationError(
                 f"labels and values must have equal length, got {len(labels)} and {len(values)}"
             )
-        buckets: dict[str, list[float]] = {}
-        for label, value in zip(labels, values):
-            buckets.setdefault(label, []).append(value)
+        present = dict.fromkeys(labels)  # dict preserves first-appearance order
         if group_order is not None:
             order = list(group_order)
-            if sorted(order) != sorted(buckets):
+            if sorted(order) != sorted(present):
                 raise ValidationError(
-                    f"group order {order!r} does not match the labels present {sorted(buckets)!r}"
+                    f"group order {order!r} does not match the labels present {sorted(present)!r}"
                 )
         else:
-            order = list(buckets)  # dict preserves first-appearance order
-        return cls(tuple((label, np.asarray(buckets[label])) for label in order))
+            order = list(present)
+        # Factorise the labels, then one stable sort gathers each group's
+        # values contiguously without reordering them.  The narrowest code
+        # type lets numpy use its radix sort for up to 65,536 groups.
+        position = {label: code for code, label in enumerate(order)}
+        code_type = np.min_scalar_type(max(len(order) - 1, 0))
+        codes = np.fromiter(map(position.__getitem__, labels), dtype=code_type, count=len(labels))
+        gathered = np.asarray(values, dtype=float)[np.argsort(codes, kind="stable")]
+        edges = [0, *np.cumsum(np.bincount(codes, minlength=len(order))).tolist()]
+        return cls(tuple((label, gathered[lo:hi]) for label, lo, hi in zip(order, edges, edges[1:])))
 
     @property
     def k(self) -> int:

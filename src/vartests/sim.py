@@ -11,6 +11,7 @@ into the rejection counts.
 from __future__ import annotations
 
 import math
+import os
 import time
 import warnings
 from concurrent.futures import ProcessPoolExecutor
@@ -323,6 +324,16 @@ def run_scenario(scenario: Scenario, workers: int = 1) -> SimulationReport:
     return run_grid((scenario,), workers=workers)
 
 
+def _pool_size(scenarios: Sequence[Scenario], workers: int) -> int:
+    """Worker processes worth starting for ``scenarios``.
+
+    A pool forks all of its workers at once, so the request is capped by
+    the chunk count of the largest scenario and by the number of CPUs.
+    """
+    chunks = max(math.ceil(s.replications / _CHUNK) for s in scenarios)
+    return min(workers, chunks, os.cpu_count() or 1)
+
+
 def run_grid(scenarios: Sequence[Scenario], workers: int = 1) -> SimulationReport:
     """Run several scenarios and collect every (scenario, test) cell."""
     if not isinstance(workers, int) or workers < 1:
@@ -336,7 +347,8 @@ def run_grid(scenarios: Sequence[Scenario], workers: int = 1) -> SimulationRepor
         _dry_run(scenario)
     started = time.perf_counter()
     cells: list[CellResult] = []
-    pool = ProcessPoolExecutor(max_workers=workers) if workers > 1 else None
+    pool_size = _pool_size(scenarios, workers)
+    pool = ProcessPoolExecutor(max_workers=pool_size) if pool_size > 1 else None
     try:
         for scenario in scenarios:
             scenario_start = time.perf_counter()

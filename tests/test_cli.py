@@ -128,6 +128,28 @@ class TestInputErrors:
         assert proc.returncode == 2
         assert ":3:" in proc.stderr and "oops" in proc.stderr
 
+    def test_diagnostics_cite_the_physical_line_past_blank_lines(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        path.write_text("group,value\na,1\n\n\nb,oops\n")
+        proc = run_cli("test", "--input", str(path))
+        assert proc.returncode == 2
+        assert f"{path}:5: bad value 'oops'" in proc.stderr
+
+    @pytest.mark.parametrize("raw", ["nan", "inf", "-Infinity"])
+    def test_non_finite_value_names_row(self, tmp_path, raw):
+        path = tmp_path / "bad.csv"
+        path.write_text(f"group,value\na,1\na,2\nb,3\nb,{raw}\n")
+        proc = run_cli("test", "--input", str(path))
+        assert proc.returncode == 2
+        assert f"{path}:5: non-finite value {raw!r}" in proc.stderr
+
+    def test_undecodable_file_is_an_input_error(self, tmp_path):
+        path = tmp_path / "latin1.csv"
+        path.write_bytes(b"group,value\na,1\n\xe9,2\nb,3\n")
+        proc = run_cli("test", "--input", str(path))
+        assert proc.returncode == 2
+        assert "not UTF-8" in proc.stderr and "Traceback" not in proc.stderr
+
     def test_single_group_rejected(self, tmp_path):
         path = tmp_path / "one.csv"
         path.write_text("group,value\na,1\na,2\na,3\n")

@@ -163,6 +163,17 @@ class TestChiSqSf:
         with pytest.raises(ValidationError):
             chi_sq_sf(1.0, 0.0)
 
+    def test_large_df_matches_high_precision_oracle(self):
+        # Bartlett and Box-Anderson on ~10**4 groups take tails at df 2e4-4e4,
+        # where both gamma expansions need O(sqrt(df)) terms near the mean.
+        mpmath = pytest.importorskip("mpmath")
+        mpmath.mp.dps = 40
+        rng = np.random.default_rng(2024)
+        for k in rng.uniform(2e4, 4e4, size=60):
+            for x in (k + rng.uniform(-4.0, 4.0) * math.sqrt(2.0 * k), k + 2.0, k - 2.0):
+                want = mpmath.gammainc(mpmath.mpf(k) / 2, mpmath.mpf(x) / 2, mpmath.inf, regularized=True)
+                assert abs(chi_sq_sf(x, k) - float(want)) <= 1e-10, (x, k)
+
 
 class TestStdNormalSf:
     def test_known_values(self):

@@ -111,6 +111,21 @@ class TestGroupedSample:
         with pytest.raises(ValidationError):
             GroupedSample.from_columns(["b", "a"], [1.0, 2.0], group_order=["a", "c"])
 
+    @pytest.mark.parametrize("k", [3, 300, 70_000])
+    def test_from_columns_keeps_input_order_within_groups(self, k):
+        # k spans the 8-, 16- and 32-bit label codes.
+        rng = np.random.default_rng(k)
+        n = max(3 * k, 3000)
+        labels = [f"g{i}" for i in rng.permutation(np.arange(n) % k)]
+        values = rng.standard_normal(n)
+        buckets = {}
+        for label, value in zip(labels, values.tolist()):
+            buckets.setdefault(label, []).append(value)
+        for column in (values, values.tolist()):
+            s = GroupedSample.from_columns(labels, column)
+            assert s.labels == tuple(buckets)
+            assert [arr.tolist() for arr in s.values] == list(buckets.values())
+
 
 class TestDeviations:
     def test_median_deviations(self):

@@ -4,6 +4,7 @@ import math
 
 import pytest
 
+import vartests.sim as sim
 from vartests import (
     PreliminaryLevelWarning,
     Scenario,
@@ -142,6 +143,26 @@ class TestDeterminism:
         assert [(c.rejections, c.error_count) for c in a.cells] == [
             (c.rejections, c.error_count) for c in b.cells
         ]
+
+    def test_pool_size_is_capped_by_chunks_and_cpus(self, monkeypatch):
+        one_chunk = null_scenario(replications=400)
+        three_chunks = null_scenario(name="three", replications=1300)
+        monkeypatch.setattr(sim.os, "cpu_count", lambda: 8)
+        assert sim._pool_size((one_chunk,), 5000) == 1
+        assert sim._pool_size((one_chunk, three_chunks), 5000) == 3
+        assert sim._pool_size((three_chunks,), 2) == 2
+        monkeypatch.setattr(sim.os, "cpu_count", lambda: 2)
+        assert sim._pool_size((three_chunks,), 5000) == 2
+        monkeypatch.setattr(sim.os, "cpu_count", lambda: None)
+        assert sim._pool_size((three_chunks,), 5000) == 1
+
+    def test_capped_pool_of_one_runs_in_process(self, monkeypatch):
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a single chunk must not start a process pool")
+
+        monkeypatch.setattr(sim, "ProcessPoolExecutor", no_pool)
+        report = run_scenario(null_scenario(), workers=5000)
+        assert [c.replications for c in report.cells] == [400, 400]
 
     def test_different_seeds_differ(self):
         a = run_scenario(null_scenario())
