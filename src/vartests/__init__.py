@@ -24,10 +24,8 @@ from .numerics import (
     derive_seed,
     draw,
     f_sf,
-    ln_gamma,
     reg_inc_beta,
     reg_inc_gamma_lower,
-    sample,
     std_normal_sf,
 )
 from .samples import (
@@ -50,9 +48,7 @@ from .sim import (
     SimulationReport,
     compile_test_label,
     power_ordering_grid,
-    power_ordering_study,
     run_grid,
-    run_scenario,
     table1_grid,
 )
 from .spread import (
@@ -99,7 +95,6 @@ __all__ = [
     "anova_f",
     "welch_anova",
     "adaptive_anova",
-    "ln_gamma",
     "reg_inc_beta",
     "reg_inc_gamma_lower",
     "f_sf",
@@ -108,15 +103,12 @@ __all__ = [
     "DistributionSpec",
     "RngStream",
     "derive_seed",
-    "sample",
     "draw",
     "Scenario",
     "CellResult",
     "SimulationReport",
     "compile_test_label",
-    "run_scenario",
     "run_grid",
     "table1_grid",
     "power_ordering_grid",
-    "power_ordering_study",
 ]

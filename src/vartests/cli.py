@@ -8,7 +8,8 @@ full-precision numbers, so piping the JSON back into a program loses
 nothing.
 
 Exit codes: 0 on success, 2 for input or usage errors, 3 when the data
-are degenerate (a test's statistic would be 0/0).
+are degenerate (a test's statistic would be 0/0) or a tail probability
+fails to converge.
 """
 
 from __future__ import annotations
@@ -30,6 +31,7 @@ from .errors import DegenerateDataError, ValidationError
 from .means import AdaptiveConfig, adaptive_anova, anova_f, welch_anova
 from .numerics import derive_seed
 from .samples import (
+    CENTERS,
     CenterKind,
     GroupedSample,
     as_center_kind,
@@ -39,14 +41,10 @@ from .samples import (
     trimmed,
 )
 from .sim import Scenario, SimulationReport, compile_test_label, power_ordering_grid, run_grid, table1_grid
-from .spread import TestResult, as_correction, bartlett_m, box_anderson_b3, levene_test
-from .trend import trend_test
+from .spread import CORRECTIONS, TestResult, as_correction, bartlett_m, box_anderson_b3, levene_test
+from .trend import SIDES, trend_test
 
 __all__ = ["main"]
-
-_CENTER_CHOICES = ("mean", "median", "trimmed")
-_CORRECTION_CHOICES = ("none", "hines-hines", "obrien")
-_SIDE_CHOICES = ("increasing", "decreasing", "two-sided")
 
 # Characters read per block of a dataset file (then up to the next line
 # break), which bounds the memory a block's columns take while parsing.
@@ -364,18 +362,13 @@ def _cmd_trend(args: argparse.Namespace) -> int:
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         result = trend_test(sample, scores, center)
-    headline = {
-        "increasing": result.p_increasing,
-        "decreasing": result.p_decreasing,
-        "two-sided": result.p_two_sided,
-    }[args.side]
     doc: dict[str, Any] = {
         "method": "trend",
         "beta_hat": float(result.beta_hat),
         "std_error": float(result.std_error),
         "z_statistic": float(result.z_statistic),
         "side": args.side,
-        "p_value": float(headline),
+        "p_value": float(result.p_value(args.side)),
         "p_increasing": float(result.p_increasing),
         "p_decreasing": float(result.p_decreasing),
         "p_two_sided": float(result.p_two_sided),
@@ -545,7 +538,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     elif args.grid == "power-ordering":
         scenarios = tuple(
             scenario
-            for center in ("mean", "median", "trimmed")
+            for center in CENTERS
             for scenario in power_ordering_grid(center, grid_seed, args.reps)
         )
     else:
@@ -582,17 +575,17 @@ def _build_parser() -> argparse.ArgumentParser:
         default="levene",
         help="bfl = levene with median centers; trimmed = levene with trimmed-mean centers",
     )
-    p_test.add_argument("--center", choices=_CENTER_CHOICES, default=None)
-    p_test.add_argument("--correction", choices=_CORRECTION_CHOICES, default=None)
+    p_test.add_argument("--center", choices=CENTERS, default=None)
+    p_test.add_argument("--correction", choices=CORRECTIONS, default=None)
     p_test.add_argument("--trim-proportion", type=float, default=0.25, help="tail fraction for trimmed centers")
     p_test.set_defaults(handler=_cmd_test)
 
     p_trend = sub.add_parser("trend", help="test for a monotone trend in spread")
     add_common(p_trend)
     p_trend.add_argument("--scores", default=None, help="comma-separated group scores (default 1..k)")
-    p_trend.add_argument("--center", choices=_CENTER_CHOICES, default=None)
+    p_trend.add_argument("--center", choices=CENTERS, default=None)
     p_trend.add_argument("--trim-proportion", type=float, default=0.25)
-    p_trend.add_argument("--side", choices=_SIDE_CHOICES, default="two-sided")
+    p_trend.add_argument("--side", choices=SIDES, default="two-sided")
     p_trend.add_argument("--group-order", default=None, help="comma-separated labels fixing the group order")
     p_trend.set_defaults(handler=_cmd_trend)
 
@@ -600,7 +593,7 @@ def _build_parser() -> argparse.ArgumentParser:
     add_common(p_anova)
     p_anova.add_argument("--method", choices=("classic", "welch", "adaptive"), default="adaptive")
     p_anova.add_argument("--prelim-level", type=float, default=None, help="level of the preliminary spread test")
-    p_anova.add_argument("--prelim-center", choices=_CENTER_CHOICES, default=None)
+    p_anova.add_argument("--prelim-center", choices=CENTERS, default=None)
     p_anova.add_argument("--trim-proportion", type=float, default=0.25)
     p_anova.set_defaults(handler=_cmd_anova)
 
@@ -625,6 +618,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except ArithmeticError as exc:  # a tail probability that does not converge
+        print(f"error: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

@@ -18,7 +18,7 @@ import numpy as np
 from .errors import DegenerateDataError, ValidationError
 from .numerics import f_sf
 from .samples import CenterKind, GroupedSample, MEDIAN, _sum_sq_is_zero, as_center_kind
-from .spread import TestResult, _one_way_f, as_correction, levene_test
+from .spread import TestResult, _one_way_f, levene_test
 
 __all__ = [
     "PreliminaryLevelWarning",
@@ -50,7 +50,6 @@ class AdaptiveConfig:
 
     preliminary_level: float = 0.15
     preliminary_center: CenterKind = MEDIAN
-    preliminary_correction: str = "none"
 
     def __post_init__(self) -> None:
         level = float(self.preliminary_level)
@@ -58,7 +57,6 @@ class AdaptiveConfig:
             raise ValidationError(f"preliminary level must lie in [0, 1), got {level!r}")
         object.__setattr__(self, "preliminary_level", level)
         object.__setattr__(self, "preliminary_center", as_center_kind(self.preliminary_center))
-        object.__setattr__(self, "preliminary_correction", as_correction(self.preliminary_correction))
         low, high = _SUPPORTED_LEVELS
         if not low <= level <= high:
             warnings.warn(
@@ -112,6 +110,8 @@ def welch_anova(sample: GroupedSample) -> TestResult:
         weights.append(arr.size / v)
         means.append(float(arr.mean()))
     weight_sum = sum(weights)
+    if np.isinf(weight_sum):
+        raise DegenerateDataError("group variances are so small that the Welch weights n/s^2 overflow")
     grand = sum(w * m for w, m in zip(weights, means)) / weight_sum
     imbalance = sum(
         (1.0 - w / weight_sum) ** 2 / (n - 1) for w, n in zip(weights, sample.sizes)
@@ -139,7 +139,7 @@ def adaptive_anova(sample: GroupedSample, config: AdaptiveConfig | None = None) 
     """
     if config is None:
         config = AdaptiveConfig()
-    preliminary = levene_test(sample, config.preliminary_center, config.preliminary_correction)
+    preliminary = levene_test(sample, config.preliminary_center)
     if preliminary.p_value < config.preliminary_level:
         branch = "welch"
         final = welch_anova(sample)

@@ -23,7 +23,6 @@ import numpy as np
 from .errors import ValidationError
 
 __all__ = [
-    "ln_gamma",
     "reg_inc_beta",
     "reg_inc_gamma_lower",
     "f_sf",
@@ -32,7 +31,6 @@ __all__ = [
     "DistributionSpec",
     "RngStream",
     "derive_seed",
-    "sample",
     "draw",
 ]
 
@@ -42,14 +40,6 @@ _TINY = 1e-300
 _SQRT2 = math.sqrt(2.0)
 
 _SEED_MODULUS = 2**64
-
-
-def ln_gamma(x: float) -> float:
-    """Natural logarithm of the gamma function for ``x > 0``."""
-    x = float(x)
-    if not x > 0.0:
-        raise ValidationError(f"ln_gamma requires x > 0, got {x!r}")
-    return math.lgamma(x)
 
 
 def _beta_cf(a: float, b: float, x: float) -> float:
@@ -101,7 +91,7 @@ def _reg_inc_beta_xc(a: float, b: float, x: float, cx: float) -> float:
     log_x = math.log1p(-cx) if cx < 0.5 else math.log(x)
     log_cx = math.log1p(-x) if x < 0.5 else math.log(cx)
     # x**a * (1-x)**b / (a*B(a, b)), assembled in log space.
-    front = math.exp(ln_gamma(a + b) - ln_gamma(a) - ln_gamma(b) + a * log_x + b * log_cx)
+    front = math.exp(math.lgamma(a + b) - math.lgamma(a) - math.lgamma(b) + a * log_x + b * log_cx)
     # Use the continued fraction on whichever side of the crossover it
     # converges fast, and the reflection I_x(a,b) = 1 - I_{1-x}(b,a) on the other.
     if x < (a + 1.0) / (a + b + 2.0):
@@ -137,7 +127,7 @@ def _gamma_series_p(s: float, x: float) -> float:
         term *= x / denom
         total += term
         if abs(term) < abs(total) * _CONV_EPS:
-            return total * math.exp(-x + s * math.log(x) - ln_gamma(s))
+            return total * math.exp(-x + s * math.log(x) - math.lgamma(s))
     raise ArithmeticError(f"incomplete gamma series failed to converge for s={s}, x={x}")
 
 
@@ -160,7 +150,7 @@ def _gamma_cf_q(s: float, x: float) -> float:
         delta = d * c
         h *= delta
         if abs(delta - 1.0) < _CONV_EPS:
-            return h * math.exp(-x + s * math.log(x) - ln_gamma(s))
+            return h * math.exp(-x + s * math.log(x) - math.lgamma(s))
     raise ArithmeticError(f"incomplete gamma continued fraction failed to converge for s={s}, x={x}")
 
 
@@ -235,15 +225,14 @@ _SHAPE_FAMILIES = (STUDENT_T, CHI_SQUARED)
 
 @dataclass(frozen=True)
 class DistributionSpec:
-    """A sampling distribution: a location/scale family plus an optional shape.
+    """A standard sampling distribution: a family plus an optional shape.
 
     ``shape`` is the degrees of freedom and is required for ``student-t``
-    and ``chi-squared``; the other families must leave it unset.
+    and ``chi-squared``; the other families must leave it unset.  Draws
+    are unshifted and unscaled; callers apply location and scale.
     """
 
     family: str
-    location: float = 0.0
-    scale: float = 1.0
     shape: float | None = None
 
     def __post_init__(self) -> None:
@@ -251,10 +240,6 @@ class DistributionSpec:
             raise ValidationError(
                 f"unknown distribution family {self.family!r}; expected one of {', '.join(_FAMILIES)}"
             )
-        if not (math.isfinite(self.location) and math.isfinite(self.scale)):
-            raise ValidationError("distribution location and scale must be finite")
-        if not self.scale > 0.0:
-            raise ValidationError(f"distribution scale must be positive, got {self.scale!r}")
         if self.family in _SHAPE_FAMILIES:
             if self.shape is None or not self.shape > 0.0:
                 raise ValidationError(
@@ -287,10 +272,6 @@ class RngStream:
     def generator(self) -> np.random.Generator:
         key = np.array([self.master_seed, self.stream_id], dtype=np.uint64)
         return np.random.Generator(np.random.Philox(key=key))
-
-    def substream(self, stream_id: int) -> "RngStream":
-        """The stream with the same master seed and a different stream id."""
-        return RngStream(self.master_seed, stream_id)
 
 
 def derive_seed(*parts: int) -> int:
@@ -326,9 +307,4 @@ def draw(dist: DistributionSpec, n: int, rng: np.random.Generator) -> np.ndarray
         base = z / np.sqrt(chi2 / dist.shape)
     else:  # chi-squared
         base = 2.0 * rng.standard_gamma(0.5 * dist.shape, n)
-    return dist.location + dist.scale * base
-
-
-def sample(dist: DistributionSpec, n: int, stream: RngStream) -> np.ndarray:
-    """Draw ``n`` variates from ``dist`` on a fresh generator for ``stream``."""
-    return draw(dist, n, stream.generator())
+    return base

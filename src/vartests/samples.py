@@ -19,6 +19,7 @@ import numpy as np
 from .errors import DegenerateDataError, ValidationError
 
 __all__ = [
+    "CENTERS",
     "CenterKind",
     "MEAN",
     "MEDIAN",
@@ -33,7 +34,7 @@ __all__ = [
     "expected_mean_deviation",
 ]
 
-_CENTER_NAMES = ("mean", "median", "trimmed")
+CENTERS = ("mean", "median", "trimmed")
 
 # Relative scale below which a sum of squares is treated as exactly zero.
 # Guards against rounding residue (~1e-16 * scale per term) being mistaken
@@ -54,9 +55,9 @@ class CenterKind:
     trim_proportion: float | None = None
 
     def __post_init__(self) -> None:
-        if self.name not in _CENTER_NAMES:
+        if self.name not in CENTERS:
             raise ValidationError(
-                f"unknown center kind {self.name!r}; expected one of {', '.join(_CENTER_NAMES)}"
+                f"unknown center kind {self.name!r}; expected one of {', '.join(CENTERS)}"
             )
         if self.name == "trimmed":
             proportion = 0.25 if self.trim_proportion is None else float(self.trim_proportion)

@@ -34,23 +34,19 @@ from .numerics import (
 from .numerics import draw as _draw
 from .samples import CenterKind, GroupedSample, as_center_kind
 from .spread import as_correction, bartlett_m, box_anderson_b3, levene_test
-from .trend import trend_test
+from .trend import as_side, trend_test
 
 __all__ = [
     "Scenario",
     "CellResult",
     "SimulationReport",
     "compile_test_label",
-    "run_scenario",
     "run_grid",
     "table1_grid",
     "power_ordering_grid",
-    "power_ordering_study",
 ]
 
 _CHUNK = 512
-
-_SIDES = ("increasing", "decreasing", "two-sided")
 
 _DEFAULT_DF = 3.0
 
@@ -121,16 +117,9 @@ def compile_test_label(label: str) -> tuple[str, Callable[[GroupedSample], float
         if len(args) > 2:
             raise ValidationError(f"too many parameters in test label {label!r}")
         kind = as_center_kind(args[0] if args else "median")
-        side = args[1] if len(args) > 1 else "increasing"
-        if side not in _SIDES:
-            raise ValidationError(f"unknown side {side!r}; expected one of {', '.join(_SIDES)}")
-        attribute = {
-            "increasing": "p_increasing",
-            "decreasing": "p_decreasing",
-            "two-sided": "p_two_sided",
-        }[side]
+        side = as_side(args[1] if len(args) > 1 else "increasing")
         canonical = f"trend:{kind.name}:{side}"
-        return canonical, lambda s: getattr(trend_test(s, None, kind), attribute)
+        return canonical, lambda s: trend_test(s, None, kind).p_value(side)
     if name == "adaptive":
         if len(args) > 2:
             raise ValidationError(f"too many parameters in test label {label!r}")
@@ -226,7 +215,6 @@ class CellResult:
     test: str
     rejections: int
     error_count: int
-    elapsed: float
 
     @property
     def replications(self) -> int:
@@ -238,15 +226,18 @@ class CellResult:
 
     @property
     def rejection_rate(self) -> float:
-        """Rejections per non-degenerate replicate (0.0 if none were valid)."""
+        """Rejections per non-degenerate replicate (NaN if none was valid)."""
         if self.valid_replications == 0:
-            return 0.0
+            return math.nan
         return self.rejections / self.valid_replications
 
     @property
     def mc_standard_error(self) -> float:
+        """Monte Carlo standard error of the rate over the valid replicates (NaN if none)."""
+        if self.valid_replications == 0:
+            return math.nan
         rate = self.rejection_rate
-        return math.sqrt(rate * (1.0 - rate) / self.replications)
+        return math.sqrt(rate * (1.0 - rate) / self.valid_replications)
 
 
 @dataclass(frozen=True)
@@ -294,10 +285,6 @@ def _run_span(scenario: Scenario, start: int, stop: int) -> tuple[list[int], lis
     return rejections, errors
 
 
-def _run_span_packed(args: tuple[Scenario, int, int]) -> tuple[list[int], list[int]]:
-    return _run_span(*args)
-
-
 def _dry_run(scenario: Scenario) -> None:
     # Surface configuration errors (e.g. groups too small for a test)
     # before spending replicates; degenerate draws are the tests' business.
@@ -313,15 +300,6 @@ def _dry_run(scenario: Scenario) -> None:
             runner(probe)
         except DegenerateDataError:
             pass
-
-
-def run_scenario(scenario: Scenario, workers: int = 1) -> SimulationReport:
-    """Run one scenario, optionally across worker processes.
-
-    The replicate stream keying makes the report independent of
-    ``workers``; chunking only changes the wall-clock time.
-    """
-    return run_grid((scenario,), workers=workers)
 
 
 def _pool_size(scenarios: Sequence[Scenario], workers: int) -> int:
@@ -349,18 +327,12 @@ def run_grid(scenarios: Sequence[Scenario], workers: int = 1) -> SimulationRepor
     cells: list[CellResult] = []
     pool_size = _pool_size(scenarios, workers)
     pool = ProcessPoolExecutor(max_workers=pool_size) if pool_size > 1 else None
+    mapper = map if pool is None else pool.map
     try:
         for scenario in scenarios:
-            scenario_start = time.perf_counter()
-            spans = [
-                (scenario, lo, min(lo + _CHUNK, scenario.replications))
-                for lo in range(0, scenario.replications, _CHUNK)
-            ]
-            if pool is None:
-                partials = [_run_span_packed(span) for span in spans]
-            else:
-                partials = list(pool.map(_run_span_packed, spans))
-            elapsed = time.perf_counter() - scenario_start
+            starts = range(0, scenario.replications, _CHUNK)
+            stops = [min(lo + _CHUNK, scenario.replications) for lo in starts]
+            partials = list(mapper(_run_span, [scenario] * len(starts), starts, stops))
             for slot, test in enumerate(scenario.tests):
                 cells.append(
                     CellResult(
@@ -368,7 +340,6 @@ def run_grid(scenarios: Sequence[Scenario], workers: int = 1) -> SimulationRepor
                         test=test,
                         rejections=sum(part[0][slot] for part in partials),
                         error_count=sum(part[1][slot] for part in partials),
-                        elapsed=elapsed,
                     )
                 )
     finally:
@@ -459,13 +430,3 @@ def power_ordering_grid(
                 )
                 index += 1
     return tuple(scenarios)
-
-
-def power_ordering_study(
-    center: Union[str, CenterKind],
-    master_seed: int,
-    replications: int = 10000,
-    workers: int = 1,
-) -> SimulationReport:
-    """Run the omnibus-versus-trend grid for one center kind."""
-    return run_grid(power_ordering_grid(center, master_seed, replications), workers=workers)

@@ -18,7 +18,6 @@ from .errors import DegenerateDataError, KurtosisError, ValidationError
 from .numerics import chi_sq_sf, f_sf
 from .samples import (
     CenterKind,
-    DeviationSet,
     GroupedSample,
     _sum_sq_is_zero,
     as_center_kind,
@@ -104,22 +103,6 @@ def _one_way_f(arrays, scale: float, labels=None) -> tuple[float, float, float]:
     return (df2 / df1) * (between / within), df1, df2
 
 
-def _deviation_scale(dev: DeviationSet) -> float:
-    return max((float(z.max()) for z in dev.values), default=0.0)
-
-
-def deviation_anova(dev: DeviationSet) -> tuple[float, float, float]:
-    """The Levene-family F statistic over an arbitrary deviation set.
-
-    Returns ``(F, df1, df2)`` where the second degrees of freedom already
-    reflect any pseudo-observations removed by corrections (they are
-    simply gone from the groups).
-    """
-    if any(n < 1 for n in dev.sizes):
-        raise ValidationError("every deviation group must be non-empty")
-    return _one_way_f(dev.values, _deviation_scale(dev), dev.labels)
-
-
 def levene_test(
     sample: GroupedSample,
     center: Union[CenterKind, str] = "median",
@@ -148,7 +131,8 @@ def levene_test(
         dev = hines_hines_correct(dev)
     elif corr == "obrien":
         dev = obrien_scale(dev)
-    statistic, df1, df2 = deviation_anova(dev)
+    scale = max(float(z.max()) for z in dev.values)
+    statistic, df1, df2 = _one_way_f(dev.values, scale, dev.labels)
     return TestResult(
         method="levene",
         statistic=statistic,
@@ -211,6 +195,10 @@ def kurtosis_estimate(sample: GroupedSample) -> float:
         scale = max(scale, float(np.abs(arr).max()))
     if _sum_sq_is_zero(sum_sq, scale, sample.total):
         raise DegenerateDataError("kurtosis is undefined: every observation equals its group mean")
+    if sum_sq**2 == 0.0:
+        raise DegenerateDataError(
+            f"kurtosis is undefined: the sum of squared deviations {sum_sq!r} underflows when squared"
+        )
     return sample.total * sum_quad / sum_sq**2
 
 

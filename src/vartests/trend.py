@@ -20,7 +20,16 @@ from .errors import DegenerateDataError, ValidationError
 from .numerics import std_normal_sf
 from .samples import CenterKind, GroupedSample, _sum_sq_is_zero, as_center_kind, deviations
 
-__all__ = ["ScoreSet", "TrendResult", "trend_test"]
+__all__ = ["SIDES", "as_side", "ScoreSet", "TrendResult", "trend_test"]
+
+SIDES = ("increasing", "decreasing", "two-sided")
+
+
+def as_side(side: str) -> str:
+    """Check that ``side`` names one of the alternatives in ``SIDES``."""
+    if side not in SIDES:
+        raise ValidationError(f"unknown side {side!r}; expected one of {', '.join(SIDES)}")
+    return side
 
 
 @dataclass(frozen=True)
@@ -79,6 +88,14 @@ class TrendResult:
     center: CenterKind
     scores: tuple[float, ...]
 
+    def p_value(self, side: str) -> float:
+        """The p-value against the alternative ``side``, one of ``SIDES``."""
+        return {
+            "increasing": self.p_increasing,
+            "decreasing": self.p_decreasing,
+            "two-sided": self.p_two_sided,
+        }[as_side(side)]
+
 
 def _weighted_slope(
     sizes: Sequence[int], scores: Sequence[float], dev_means: Sequence[float]
@@ -129,12 +146,12 @@ def trend_test(
     dev_means = [float(z.mean()) for z in dev.values]
     beta, denom = _weighted_slope(sizes, w.w, dev_means)
     within = sum(float(np.sum((z - m) ** 2)) for z, m in zip(dev.values, dev_means))
-    if _sum_sq_is_zero(within, max(float(z.max()) for z in dev.values), total):
+    pooled_var = within / (total - sample.k)
+    std_error = math.sqrt(pooled_var / denom)
+    if std_error == 0.0 or _sum_sq_is_zero(within, max(float(z.max()) for z in dev.values), total):
         raise DegenerateDataError(
             "no within-group deviation spread: the slope's standard error is zero"
         )
-    pooled_var = within / (total - sample.k)
-    std_error = math.sqrt(pooled_var / denom)
     z_statistic = beta / std_error
     p_increasing = std_normal_sf(z_statistic)
     p_decreasing = std_normal_sf(-z_statistic)

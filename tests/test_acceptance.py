@@ -261,10 +261,9 @@ def test_5_small_sample_level_behavior():
 
 def test_6_kurtosis_adjustment_shrinks_heavy_tailed_statistics():
     heavy = DistributionSpec(STUDENT_T, shape=3.0)
-    stream = RngStream(606)
     kept = tried = violations = 0
     while kept < 1000:
-        rng = stream.substream(tried).generator()
+        rng = RngStream(606, tried).generator()
         tried += 1
         sample = make_sample(*(draw(heavy, 30, rng) for _ in range(3)))
         if kurtosis_estimate(sample) <= 3.0:

@@ -7,6 +7,10 @@ import sys
 import pytest
 from scipy import stats
 
+from vartests import cli, numerics, samples, spread, trend
+from vartests.errors import ValidationError
+from vartests.sim import compile_test_label
+
 CLI = [sys.executable, "-m", "vartests"]
 
 
@@ -301,6 +305,17 @@ class TestSimulateCommand:
                        "--out", str(tmp_path / "no" / "dir" / "o.csv"))
         assert proc.returncode == 2
 
+    def test_all_degenerate_cell_reads_nan(self, tmp_path):
+        # Median deviations in groups of two are tied pairs: every replicate is 0/0.
+        grid = tmp_path / "g.txt"
+        grid.write_text("scenario = s\ngroup_sizes = 2, 2\nsigma_ratios = 1, 1\ntests = levene, anova\nreplications = 6\n")
+        out = tmp_path / "o.csv"
+        proc = run_cli("simulate", "--grid", str(grid), "--seed", "1", "--out", str(out))
+        assert proc.returncode == 0, proc.stderr
+        rows = {row.split(",")[9]: row.split(",")[10:] for row in out.read_text().splitlines()[1:]}
+        assert rows["levene:median:none"] == ["nan", "nan", "6"]
+        assert rows["anova"][2] == "0" and rows["anova"][0] != "nan"
+
     def test_auto_seed_is_recorded(self, tmp_path):
         grid = tmp_path / "g.txt"
         grid.write_text("scenario = s\ngroup_sizes = 5, 5\nsigma_ratios = 1, 1\ntests = anova\nreplications = 4\n")
@@ -310,3 +325,59 @@ class TestSimulateCommand:
         recorded = out.read_text().splitlines()[1].split(",")[0]
         assert int(recorded) >= 0
         assert str(recorded) in proc.stdout
+
+
+class TestExitContract:
+    @pytest.mark.parametrize("command", ["test", "simulate"])
+    def test_tail_that_does_not_converge_exits_3(self, command, toy_csv, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(numerics, "_MAX_ITER", 0)
+        if command == "test":
+            argv = ["test", "--input", toy_csv]
+        else:
+            argv = ["simulate", "--grid", "table1", "--seed", "1", "--reps", "4", "--out", str(tmp_path / "o.csv")]
+        assert cli.main(argv) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "converge" in err
+        assert "Traceback" not in err
+
+
+class TestOptionRegistry:
+    """Each option name is defined once, by the module that owns it."""
+
+    def test_parser_choices_are_the_registry_tables(self):
+        parser = cli._build_parser()
+        commands = next(a for a in parser._actions if a.dest == "command").choices
+        choices = {
+            (name, action.dest): action.choices
+            for name, sub in commands.items()
+            for action in sub._actions
+            if action.dest in ("center", "correction", "side", "prelim_center")
+        }
+        expected = {
+            ("test", "center"): samples.CENTERS,
+            ("test", "correction"): spread.CORRECTIONS,
+            ("trend", "center"): samples.CENTERS,
+            ("trend", "side"): trend.SIDES,
+            ("anova", "prelim_center"): samples.CENTERS,
+        }
+        assert choices.keys() == expected.keys()
+        assert all(choices[key] is table for key, table in expected.items())
+
+    def test_test_labels_accept_exactly_the_registry_names(self):
+        candidates = {*samples.CENTERS, *spread.CORRECTIONS, *trend.SIDES, "mode", "winsor", "upward"}
+
+        def accepted(template):
+            names = set()
+            for name in candidates:
+                try:
+                    compile_test_label(template.format(name))
+                except ValidationError:
+                    continue
+                names.add(name)
+            return names
+
+        assert accepted("levene:{}") == set(samples.CENTERS)
+        assert accepted("trend:{}") == set(samples.CENTERS)
+        assert accepted("adaptive:{}") == set(samples.CENTERS)
+        assert accepted("levene:median:{}") == set(spread.CORRECTIONS)
+        assert accepted("trend:median:{}") == set(trend.SIDES)

@@ -148,15 +148,15 @@ class TestAdaptive:
             outcome = adaptive_anova(make_sample(*arrays), config)
             assert outcome.chosen_branch == "classic"
 
-    def test_custom_preliminary_center_and_correction(self):
+    def test_custom_preliminary_center(self):
         rng = np.random.default_rng(42)
         arrays = [rng.normal(0, s, size=9) for s in (1.0, 2.0, 3.0)]
         s = make_sample(*arrays)
-        config = AdaptiveConfig(preliminary_center="mean", preliminary_correction="obrien")
+        config = AdaptiveConfig(preliminary_center="mean")
         outcome = adaptive_anova(s, config)
-        ref = levene_test(s, "mean", "obrien")
+        ref = levene_test(s, "mean")
         assert outcome.preliminary.statistic == pytest.approx(ref.statistic, rel=1e-12)
-        assert outcome.preliminary.correction == "obrien"
+        assert outcome.preliminary.correction == "none"
 
     def test_level_warnings(self):
         with pytest.warns(PreliminaryLevelWarning):

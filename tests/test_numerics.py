@@ -12,40 +12,35 @@ from vartests import (
     ValidationError,
     chi_sq_sf,
     derive_seed,
+    draw,
     f_sf,
-    ln_gamma,
     reg_inc_beta,
     reg_inc_gamma_lower,
-    sample,
     std_normal_sf,
 )
 
 
 class TestLnGamma:
+    # The tails call math.lgamma directly; these pin the values they rely on.
     def test_known_values(self):
         # Reference values computed with 40-digit arithmetic.
-        assert abs(ln_gamma(1.0)) <= 1e-15
-        assert abs(ln_gamma(2.0)) <= 1e-15
-        assert math.isclose(ln_gamma(0.5), 0.57236494292470008707, abs_tol=1e-14)
-        assert math.isclose(ln_gamma(5.0), 3.1780538303479456196, abs_tol=1e-13)
-        assert math.isclose(ln_gamma(12.3), 18.238983407092241942, abs_tol=1e-12)
-        assert math.isclose(ln_gamma(0.001), 6.9071788853838536825, abs_tol=1e-12)
+        assert abs(math.lgamma(1.0)) <= 1e-15
+        assert abs(math.lgamma(2.0)) <= 1e-15
+        assert math.isclose(math.lgamma(0.5), 0.57236494292470008707, abs_tol=1e-14)
+        assert math.isclose(math.lgamma(5.0), 3.1780538303479456196, abs_tol=1e-13)
+        assert math.isclose(math.lgamma(12.3), 18.238983407092241942, abs_tol=1e-12)
+        assert math.isclose(math.lgamma(0.001), 6.9071788853838536825, abs_tol=1e-12)
         # At x = 1e6 the value is ~1.3e7, so 1e-12 absolute is below one ulp;
         # relative accuracy is the right yardstick there.
-        assert math.isclose(ln_gamma(1e6), 12815504.56914761166, rel_tol=1e-14)
+        assert math.isclose(math.lgamma(1e6), 12815504.56914761166, rel_tol=1e-14)
 
     def test_recurrence(self):
         # ln Gamma(x+1) = ln Gamma(x) + ln x
         rng = np.random.default_rng(42)
         for x in rng.uniform(0.01, 50.0, size=200):
-            lhs = ln_gamma(x + 1.0)
-            rhs = ln_gamma(x) + math.log(x)
+            lhs = math.lgamma(x + 1.0)
+            rhs = math.lgamma(x) + math.log(x)
             assert math.isclose(lhs, rhs, rel_tol=1e-12, abs_tol=1e-12)
-
-    def test_domain(self):
-        for bad in (0.0, -1.0, -0.5, math.nan):
-            with pytest.raises(ValidationError):
-                ln_gamma(bad)
 
 
 class TestRegIncBeta:
@@ -102,7 +97,7 @@ class TestRegIncGammaLower:
             s = rng.uniform(0.2, 40.0)
             x = rng.uniform(0.0, 60.0)
             lhs = reg_inc_gamma_lower(s + 1.0, x)
-            rhs = reg_inc_gamma_lower(s, x) - math.exp(s * math.log(x) - x - ln_gamma(s + 1.0)) if x > 0 else 0.0
+            rhs = reg_inc_gamma_lower(s, x) - math.exp(s * math.log(x) - x - math.lgamma(s + 1.0)) if x > 0 else 0.0
             assert math.isclose(lhs, rhs, abs_tol=1e-12)
 
     def test_monotone_in_x(self):
@@ -194,7 +189,7 @@ class TestStdNormalSf:
 class TestDistributionSpec:
     def test_shape_rules(self):
         DistributionSpec("normal")
-        DistributionSpec("exponential", location=1.0, scale=2.0)
+        DistributionSpec("exponential")
         DistributionSpec("student-t", shape=3.0)
         DistributionSpec("chi-squared", shape=5.0)
         with pytest.raises(ValidationError):
@@ -205,30 +200,28 @@ class TestDistributionSpec:
             DistributionSpec("normal", shape=3.0)
         with pytest.raises(ValidationError):
             DistributionSpec("cauchy")
-        with pytest.raises(ValidationError):
-            DistributionSpec("normal", scale=0.0)
 
 
 class TestRngStream:
     def test_same_key_same_sequence(self):
-        a = sample(DistributionSpec("normal"), 1000, RngStream(42, 7))
-        b = sample(DistributionSpec("normal"), 1000, RngStream(42, 7))
+        a = draw(DistributionSpec("normal"), 1000, RngStream(42, 7).generator())
+        b = draw(DistributionSpec("normal"), 1000, RngStream(42, 7).generator())
         assert np.array_equal(a, b)
 
     def test_streams_differ(self):
-        a = sample(DistributionSpec("normal"), 1000, RngStream(42, 0))
-        b = sample(DistributionSpec("normal"), 1000, RngStream(42, 1))
-        c = sample(DistributionSpec("normal"), 1000, RngStream(43, 0))
+        a = draw(DistributionSpec("normal"), 1000, RngStream(42, 0).generator())
+        b = draw(DistributionSpec("normal"), 1000, RngStream(42, 1).generator())
+        c = draw(DistributionSpec("normal"), 1000, RngStream(43, 0).generator())
         assert not np.array_equal(a, b)
         assert not np.array_equal(a, c)
 
     def test_thread_independence(self):
         # The draw for a given key must not depend on scheduling.
-        reference = sample(DistributionSpec("normal"), 500, RngStream(9, 3))
+        reference = draw(DistributionSpec("normal"), 500, RngStream(9, 3).generator())
         results = [None] * 8
 
         def work(slot):
-            results[slot] = sample(DistributionSpec("normal"), 500, RngStream(9, 3))
+            results[slot] = draw(DistributionSpec("normal"), 500, RngStream(9, 3).generator())
 
         threads = [threading.Thread(target=work, args=(i,)) for i in range(8)]
         for t in threads:
@@ -245,10 +238,6 @@ class TestRngStream:
             RngStream(0, 2**64)
         with pytest.raises(ValidationError):
             RngStream(1.5, 0)
-
-    def test_substream(self):
-        s = RngStream(11, 0)
-        assert s.substream(5) == RngStream(11, 5)
 
 
 class TestDeriveSeed:
@@ -269,24 +258,24 @@ class TestDeriveSeed:
 
 class TestSampling:
     def test_normal_moments(self):
-        x = sample(DistributionSpec("normal", location=3.0, scale=2.0), 200_000, RngStream(42, 0))
-        assert x.mean() == pytest.approx(3.0, abs=0.02)
-        assert x.std(ddof=1) == pytest.approx(2.0, abs=0.02)
+        x = draw(DistributionSpec("normal"), 200_000, RngStream(42, 0).generator())
+        assert x.mean() == pytest.approx(0.0, abs=0.01)
+        assert x.std(ddof=1) == pytest.approx(1.0, abs=0.01)
 
     def test_exponential_moments(self):
-        x = sample(DistributionSpec("exponential", scale=1.5), 200_000, RngStream(42, 1))
-        assert x.mean() == pytest.approx(1.5, abs=0.02)
-        assert x.std(ddof=1) == pytest.approx(1.5, abs=0.03)
+        x = draw(DistributionSpec("exponential"), 200_000, RngStream(42, 1).generator())
+        assert x.mean() == pytest.approx(1.0, abs=0.013)
+        assert x.std(ddof=1) == pytest.approx(1.0, abs=0.02)
 
     def test_chi_squared_moments(self):
-        x = sample(DistributionSpec("chi-squared", shape=3.0), 200_000, RngStream(42, 2))
+        x = draw(DistributionSpec("chi-squared", shape=3.0), 200_000, RngStream(42, 2).generator())
         assert x.mean() == pytest.approx(3.0, abs=0.04)
         assert x.var(ddof=1) == pytest.approx(6.0, rel=0.05)
 
     def test_student_t_matches_reference_quantiles(self):
         from scipy import stats
 
-        x = sample(DistributionSpec("student-t", shape=3.0), 200_000, RngStream(42, 3))
+        x = draw(DistributionSpec("student-t", shape=3.0), 200_000, RngStream(42, 3).generator())
         for q in (0.05, 0.25, 0.5, 0.75, 0.95):
             expected = stats.t.ppf(q, 3)
             observed = np.quantile(x, q)
@@ -295,11 +284,11 @@ class TestSampling:
             assert abs(observed - expected) < 5 * se
 
     def test_student_t_heavy_tails(self):
-        x = sample(DistributionSpec("student-t", shape=3.0), 200_000, RngStream(42, 4))
+        x = draw(DistributionSpec("student-t", shape=3.0), 200_000, RngStream(42, 4).generator())
         centered = x - x.mean()
         kurt = (centered**4).mean() / (centered**2).mean() ** 2
         assert kurt > 4.0  # normal data sit near 3
 
     def test_size_validation(self):
         with pytest.raises(ValidationError):
-            sample(DistributionSpec("normal"), 0, RngStream(1, 0))
+            draw(DistributionSpec("normal"), 0, RngStream(1, 0).generator())

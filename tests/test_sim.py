@@ -12,9 +12,7 @@ from vartests import (
     compile_test_label,
     derive_seed,
     power_ordering_grid,
-    power_ordering_study,
     run_grid,
-    run_scenario,
     table1_grid,
 )
 
@@ -124,13 +122,13 @@ class TestScenarioValidation:
         # not on replicate one.
         sc = null_scenario(group_sizes=(2, 8, 8), tests=("levene:median:hines-hines",))
         with pytest.raises(ValidationError):
-            run_scenario(sc)
+            run_grid((sc,))
 
 
 class TestDeterminism:
     def test_same_seed_same_report(self):
-        a = run_scenario(null_scenario())
-        b = run_scenario(null_scenario())
+        a = run_grid((null_scenario(),))
+        b = run_grid((null_scenario(),))
         assert [(c.test, c.rejections, c.error_count) for c in a.cells] == [
             (c.test, c.rejections, c.error_count) for c in b.cells
         ]
@@ -138,8 +136,8 @@ class TestDeterminism:
     def test_worker_count_does_not_matter(self):
         # 3 chunks worth of replicates split across 1 and 2 workers.
         sc = null_scenario(replications=1300)
-        a = run_scenario(sc, workers=1)
-        b = run_scenario(sc, workers=2)
+        a = run_grid((sc,), workers=1)
+        b = run_grid((sc,), workers=2)
         assert [(c.rejections, c.error_count) for c in a.cells] == [
             (c.rejections, c.error_count) for c in b.cells
         ]
@@ -161,28 +159,28 @@ class TestDeterminism:
             raise AssertionError("a single chunk must not start a process pool")
 
         monkeypatch.setattr(sim, "ProcessPoolExecutor", no_pool)
-        report = run_scenario(null_scenario(), workers=5000)
+        report = run_grid((null_scenario(),), workers=5000)
         assert [c.replications for c in report.cells] == [400, 400]
 
     def test_different_seeds_differ(self):
-        a = run_scenario(null_scenario())
-        b = run_scenario(null_scenario(master_seed=999))
+        a = run_grid((null_scenario(),))
+        b = run_grid((null_scenario(master_seed=999),))
         assert [c.rejections for c in a.cells] != [c.rejections for c in b.cells]
 
 
 class TestTallies:
     def test_counts_are_coherent(self):
-        report = run_scenario(null_scenario(replications=500))
+        report = run_grid((null_scenario(replications=500),))
         for cell in report.cells:
             assert 0 <= cell.rejections <= cell.valid_replications
             assert cell.rejections + cell.error_count <= cell.replications
             assert cell.mc_standard_error == pytest.approx(
-                math.sqrt(cell.rejection_rate * (1 - cell.rejection_rate) / cell.replications)
+                math.sqrt(cell.rejection_rate * (1 - cell.rejection_rate) / cell.valid_replications)
             )
 
     def test_no_errors_on_continuous_data(self):
-        report = run_scenario(null_scenario(replications=300, tests=(
-            "anova", "welch", "bartlett", "levene:mean", "levene:median:hines-hines", "trend:median")))
+        report = run_grid((null_scenario(replications=300, tests=(
+            "anova", "welch", "bartlett", "levene:mean", "levene:median:hines-hines", "trend:median")),))
         for cell in report.cells:
             assert cell.error_count == 0
 
@@ -190,14 +188,21 @@ class TestTallies:
         # With groups of size 2 and median centers every replicate's
         # deviations are tied pairs, so the Levene F is 0/0 every time.
         sc = null_scenario(group_sizes=(2, 2, 2), tests=("levene:median",), replications=50)
-        report = run_scenario(sc)
+        report = run_grid((sc,))
         cell = report.cells[0]
         assert cell.error_count == 50
         assert cell.rejections == 0
-        assert cell.rejection_rate == 0.0
+        assert math.isnan(cell.rejection_rate)
+        assert math.isnan(cell.mc_standard_error)
+
+    def test_standard_error_is_over_valid_replicates(self):
+        cell = sim.CellResult(null_scenario(), "anova", rejections=35, error_count=50)
+        assert cell.valid_replications == 350
+        assert cell.rejection_rate == 0.1
+        assert cell.mc_standard_error == math.sqrt(0.1 * 0.9 / 350)
 
     def test_null_rejection_rate_is_sane(self):
-        report = run_scenario(null_scenario(replications=2000, tests=("anova", "welch")))
+        report = run_grid((null_scenario(replications=2000, tests=("anova", "welch")),))
         for cell in report.cells:
             # 2000 reps: SE ~ 0.005, so 0.05 +- 5 SE is a generous sanity band.
             assert 0.025 <= cell.rejection_rate <= 0.075
@@ -238,7 +243,7 @@ class TestGrids:
         assert [s.master_seed for s in a] == [s.master_seed for s in b]
 
     def test_power_study_runs(self):
-        report = power_ordering_study("median", master_seed=11, replications=30)
+        report = run_grid(power_ordering_grid("median", master_seed=11, replications=30))
         assert len(report.cells) == 48
         assert report.cell(report.cells[0].scenario.name, "levene:median:none")
 

@@ -17,9 +17,9 @@ from vartests import (
     bartlett_m,
     box_anderson_b3,
     deviations,
+    draw,
     kurtosis_estimate,
     levene_test,
-    sample,
     trimmed,
 )
 
@@ -229,15 +229,15 @@ class TestKurtosis:
 
     def test_normal_data_near_three(self):
         s = make_sample(
-            sample(DistributionSpec("normal"), 50_000, RngStream(42, 0)),
-            sample(DistributionSpec("normal"), 50_000, RngStream(42, 1)),
+            draw(DistributionSpec("normal"), 50_000, RngStream(42, 0).generator()),
+            draw(DistributionSpec("normal"), 50_000, RngStream(42, 1).generator()),
         )
         assert kurtosis_estimate(s) == pytest.approx(3.0, abs=0.1)
 
     def test_heavy_tails_exceed_three(self):
         s = make_sample(
-            sample(DistributionSpec("student-t", shape=3.0), 50_000, RngStream(42, 2)),
-            sample(DistributionSpec("student-t", shape=3.0), 50_000, RngStream(42, 3)),
+            draw(DistributionSpec("student-t", shape=3.0), 50_000, RngStream(42, 2).generator()),
+            draw(DistributionSpec("student-t", shape=3.0), 50_000, RngStream(42, 3).generator()),
         )
         assert kurtosis_estimate(s) > 4.0
 
@@ -271,9 +271,9 @@ class TestBoxAnderson:
         hits = 0
         for i in range(50):
             s = make_sample(
-                sample(dist, 40, RngStream(100 + i, 0)),
-                sample(dist, 40, RngStream(100 + i, 1)),
-                sample(dist, 40, RngStream(100 + i, 2)),
+                draw(dist, 40, RngStream(100 + i, 0).generator()),
+                draw(dist, 40, RngStream(100 + i, 1).generator()),
+                draw(dist, 40, RngStream(100 + i, 2).generator()),
             )
             if kurtosis_estimate(s) > 3.0:
                 hits += 1
@@ -282,8 +282,8 @@ class TestBoxAnderson:
 
     def test_near_normal_data_changes_little(self):
         s = make_sample(
-            sample(DistributionSpec("normal"), 20_000, RngStream(5, 0)),
-            sample(DistributionSpec("normal"), 20_000, RngStream(5, 1)),
+            draw(DistributionSpec("normal"), 20_000, RngStream(5, 0).generator()),
+            draw(DistributionSpec("normal"), 20_000, RngStream(5, 1).generator()),
         )
         ratio = box_anderson_b3(s).statistic / max(bartlett_m(s).statistic, 1e-300)
         assert ratio == pytest.approx(1.0, abs=0.1)
