@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import DegenerateDataError, ValidationError
 from .numerics import f_sf
-from .samples import CenterKind, GroupedSample, MEDIAN, _sum_sq_is_zero, as_center_kind
+from .samples import CenterKind, GroupedSample, MEDIAN, _finite_sum, _nonzero_variances, as_center_kind
 from .spread import TestResult, _one_way_f, levene_test
 
 __all__ = [
@@ -79,8 +79,7 @@ class AdaptiveResult:
 
 def anova_f(sample: GroupedSample) -> TestResult:
     """Classic one-way fixed-effects ANOVA F test for equal group means."""
-    scale = max(float(np.abs(arr).max()) for arr in sample.values)
-    statistic, df1, df2 = _one_way_f(sample.values, scale, sample.labels)
+    statistic, df1, df2 = _one_way_f(sample, max(float(np.abs(arr).max()) for arr in sample.values))
     return TestResult(
         method="anova",
         statistic=statistic,
@@ -99,24 +98,15 @@ def welch_anova(sample: GroupedSample) -> TestResult:
     the squared Welch t statistic with Welch-Satterthwaite df.
     """
     k = sample.k
-    weights = []
-    means = []
-    for label, arr in sample.groups:
-        if arr.size < 2:
-            raise ValidationError(f"group {label!r} has size {arr.size}; this test needs at least 2")
-        v = float(arr.var(ddof=1))
-        if _sum_sq_is_zero(v * (arr.size - 1), float(np.abs(arr).max()), arr.size):
-            raise DegenerateDataError(f"group {label!r} has zero sample variance")
-        weights.append(arr.size / v)
-        means.append(float(arr.mean()))
+    sizes, means, variances = _nonzero_variances(sample)
+    weights = [n / v for n, v in zip(sizes, variances)]
     weight_sum = sum(weights)
     if np.isinf(weight_sum):
         raise DegenerateDataError("group variances are so small that the Welch weights n/s^2 overflow")
     grand = sum(w * m for w, m in zip(weights, means)) / weight_sum
-    imbalance = sum(
-        (1.0 - w / weight_sum) ** 2 / (n - 1) for w, n in zip(weights, sample.sizes)
-    )
-    numerator = sum(w * (m - grand) ** 2 for w, m in zip(weights, means)) / (k - 1)
+    imbalance = sum((1.0 - w / weight_sum) ** 2 / (n - 1) for w, n in zip(weights, sizes))
+    between = (w * (m - grand) ** 2 for w, m in zip(weights, means))
+    numerator = _finite_sum(between, "the weighted between-groups sum of squares") / (k - 1)
     denominator = 1.0 + 2.0 * (k - 2) / (k**2 - 1.0) * imbalance
     statistic = numerator / denominator
     df1 = float(k - 1)

@@ -11,7 +11,7 @@ O'Brien / Keyes-Levy rescaling for unequal group sizes.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Iterable, Sequence, Union
 
 import numpy as np
@@ -125,7 +125,7 @@ class GroupedSample:
     groups: tuple[tuple[str, np.ndarray], ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "groups", _freeze_groups(self.groups, "GroupedSample"))
+        object.__setattr__(self, "groups", _freeze_groups(self.groups, type(self).__name__))
 
     @classmethod
     def from_columns(
@@ -185,23 +185,23 @@ class GroupedSample:
 
 
 @dataclass(frozen=True)
-class DeviationSet:
-    """Absolute deviations from group centers, ready for a location test.
+class DeviationSet(GroupedSample):
+    """Absolute deviations from group centers: a grouped sample of deviations.
 
+    A location test applied to it is a Levene-type test.
     ``df_adjustment`` counts pseudo-observations removed by corrections
     (one per group for Hines-Hines); ``scaled`` records whether the
     O'Brien rescaling has been applied.  ``centers`` keeps the location
     estimates the deviations were taken from.
     """
 
-    groups: tuple[tuple[str, np.ndarray], ...]
     center_kind: CenterKind
     centers: tuple[float, ...]
     df_adjustment: int = 0
     scaled: bool = False
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "groups", _freeze_groups(self.groups, "DeviationSet"))
+        super().__post_init__()
         object.__setattr__(self, "center_kind", as_center_kind(self.center_kind))
         centers = tuple(float(c) for c in self.centers)
         if len(centers) != len(self.groups):
@@ -214,26 +214,6 @@ class DeviationSet:
         for label, z in self.groups:
             if np.any(z < 0.0):
                 raise ValidationError(f"deviation group {label!r} contains negative values")
-
-    @property
-    def k(self) -> int:
-        return len(self.groups)
-
-    @property
-    def labels(self) -> tuple[str, ...]:
-        return tuple(label for label, _ in self.groups)
-
-    @property
-    def values(self) -> tuple[np.ndarray, ...]:
-        return tuple(arr for _, arr in self.groups)
-
-    @property
-    def sizes(self) -> tuple[int, ...]:
-        return tuple(arr.size for _, arr in self.groups)
-
-    @property
-    def total(self) -> int:
-        return sum(self.sizes)
 
 
 def center(values: Sequence[float], kind: Union[CenterKind, str]) -> float:
@@ -282,16 +262,12 @@ def hines_hines_correct(dev: DeviationSet) -> DeviationSet:
         )
     if dev.df_adjustment != 0:
         raise ValidationError("deviation set is already corrected (df_adjustment != 0)")
+    _require_group_size(dev, 2, "the Hines-Hines correction")
     corrected = []
     for label, z in dev.groups:
-        n = z.size
-        if n < 2:
-            raise ValidationError(
-                f"group {label!r} has size {n}; the Hines-Hines correction needs at least 2"
-            )
         if np.all(z == 0.0):
             raise DegenerateDataError(f"group {label!r} has no positive deviation from its median")
-        if n % 2 == 1:
+        if z.size % 2 == 1:
             zero_at = np.flatnonzero(z == 0.0)
             if zero_at.size == 0:
                 raise ValidationError(
@@ -307,13 +283,7 @@ def hines_hines_correct(dev: DeviationSet) -> DeviationSet:
             new[first] = math.sqrt(2.0) * z[first]
             new = np.delete(new, second)
         corrected.append((label, new))
-    return DeviationSet(
-        tuple(corrected),
-        dev.center_kind,
-        dev.centers,
-        df_adjustment=dev.df_adjustment + dev.k,
-        scaled=dev.scaled,
-    )
+    return replace(dev, groups=tuple(corrected), df_adjustment=dev.df_adjustment + dev.k)
 
 
 def obrien_scale(dev: DeviationSet) -> DeviationSet:
@@ -326,19 +296,9 @@ def obrien_scale(dev: DeviationSet) -> DeviationSet:
     """
     if dev.scaled:
         raise ValidationError("deviation set is already scaled")
-    scaled = []
-    for label, z in dev.groups:
-        n = z.size
-        if n < 2:
-            raise ValidationError(f"group {label!r} has size {n}; rescaling needs at least 2")
-        scaled.append((label, z / math.sqrt(1.0 - 1.0 / n)))
-    return DeviationSet(
-        tuple(scaled),
-        dev.center_kind,
-        dev.centers,
-        df_adjustment=dev.df_adjustment,
-        scaled=True,
-    )
+    _require_group_size(dev, 2, "rescaling")
+    scaled = tuple((label, z / math.sqrt(1.0 - 1.0 / z.size)) for label, z in dev.groups)
+    return replace(dev, groups=scaled, scaled=True)
 
 
 def expected_mean_deviation(sigma: float, n: int) -> float:
@@ -356,7 +316,50 @@ def expected_mean_deviation(sigma: float, n: int) -> float:
     return sigma * math.sqrt((2.0 / math.pi) * (1.0 - 1.0 / n))
 
 
+def _require_group_size(sample: GroupedSample, minimum: int, what: str = "this test") -> None:
+    for label, arr in sample.groups:
+        if arr.size < minimum:
+            raise ValidationError(f"group {label!r} has size {arr.size}; {what} needs at least {minimum}")
+
+
+def _finite_sum(terms: Iterable[float], what: str) -> float:
+    """``sum(terms)``, or ``ValidationError`` when a term or the total overflows."""
+    try:
+        total = sum(terms)
+    except OverflowError:  # a Python float square out of range
+        total = math.inf
+    if not math.isfinite(total):
+        raise ValidationError(f"{what} overflows a float: the values are too large (keep them within 1e150)")
+    return total
+
+
+def _group_moments(sample: GroupedSample) -> tuple[tuple[int, ...], list[float], list[float]]:
+    """Each group's size, mean, and sum of squared deviations from that mean.
+
+    Every one-way statistic takes these from here.  ``ValidationError``
+    if the sums of squares overflow, alone or added up.
+    """
+    values = sample.values
+    means = [float(arr.mean()) for arr in values]
+    sums_sq = [float(np.sum((arr - m) ** 2)) for arr, m in zip(values, means)]
+    _finite_sum(sums_sq, "the sum of squares")
+    return sample.sizes, means, sums_sq
+
+
+def _nonzero_variances(sample: GroupedSample) -> tuple[tuple[int, ...], list[float], list[float]]:
+    """Sizes, means and sample variances; ``DegenerateDataError`` if a variance is zero."""
+    _require_group_size(sample, 2)
+    sizes, means, sums_sq = _group_moments(sample)
+    variances = [ss / (n - 1) for n, ss in zip(sizes, sums_sq)]
+    for (label, arr), n, v in zip(sample.groups, sizes, variances):
+        if _sum_sq_is_zero(v * (n - 1), float(np.abs(arr).max()), n):
+            raise DegenerateDataError(f"group {label!r} has zero sample variance")
+    return sizes, means, variances
+
+
 def _sum_sq_is_zero(ss: float, scale: float, count: int) -> bool:
     # A sum of squares of `count` values with magnitudes ~`scale` that is
-    # this small can only be floating-point residue.
-    return ss <= count * (_REL_ZERO * scale) ** 2
+    # this small can only be floating-point residue.  Past a scale of about
+    # 1e166 the bound is inf, not an OverflowError: any finite sum is residue.
+    bound = _REL_ZERO * scale
+    return ss <= count * (bound * bound)

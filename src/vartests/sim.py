@@ -24,8 +24,6 @@ from .errors import DegenerateDataError, ValidationError
 from .means import AdaptiveConfig, PreliminaryLevelWarning, adaptive_anova, anova_f, welch_anova
 from .numerics import (
     CHI_SQUARED,
-    EXPONENTIAL,
-    NORMAL,
     STUDENT_T,
     DistributionSpec,
     RngStream,
@@ -52,24 +50,20 @@ _DEFAULT_DF = 3.0
 
 
 def _base_distribution(token: str) -> DistributionSpec:
-    """Parse a distribution token like ``normal`` or ``student-t:3``."""
+    """Parse a distribution token ``family[:df]``; ``DistributionSpec`` checks it.
+
+    An empty df means 3 for the families that take one.
+    """
     if not isinstance(token, str) or not token:
         raise ValidationError(f"distribution must be a non-empty string, got {token!r}")
     head, _, tail = token.partition(":")
-    if head in (NORMAL, EXPONENTIAL):
-        if tail:
-            raise ValidationError(f"family {head!r} does not take a parameter, got {token!r}")
-        return DistributionSpec(head)
-    if head in (STUDENT_T, CHI_SQUARED):
-        if tail:
-            try:
-                df = float(tail)
-            except ValueError:
-                raise ValidationError(f"bad degrees of freedom in {token!r}") from None
-        else:
-            df = _DEFAULT_DF
-        return DistributionSpec(head, shape=df)
-    raise ValidationError(f"unknown distribution {token!r}")
+    if not tail:
+        return DistributionSpec(head, shape=_DEFAULT_DF if head in (STUDENT_T, CHI_SQUARED) else None)
+    try:
+        df = float(tail)
+    except ValueError:
+        raise ValidationError(f"bad degrees of freedom in {token!r}") from None
+    return DistributionSpec(head, shape=df)
 
 
 def _parse_level(text: str, label: str) -> float:

@@ -9,6 +9,7 @@ alternative and its kurtosis-robust adjustment.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Mapping, Union
 
@@ -16,15 +17,8 @@ import numpy as np
 
 from .errors import DegenerateDataError, KurtosisError, ValidationError
 from .numerics import chi_sq_sf, f_sf
-from .samples import (
-    CenterKind,
-    GroupedSample,
-    _sum_sq_is_zero,
-    as_center_kind,
-    deviations,
-    hines_hines_correct,
-    obrien_scale,
-)
+from .samples import CenterKind, GroupedSample, as_center_kind, deviations, hines_hines_correct, obrien_scale
+from .samples import _finite_sum, _group_moments, _nonzero_variances, _require_group_size, _sum_sq_is_zero
 
 __all__ = [
     "TestResult",
@@ -75,28 +69,23 @@ def as_correction(correction: Union[str, None]) -> str:
     )
 
 
-def _group_stats(arrays) -> tuple[list[int], list[float], float, int]:
-    sizes = [int(a.size) for a in arrays]
-    means = [float(a.mean()) for a in arrays]
+def _one_way_f(sample: GroupedSample, scale: float) -> tuple[float, float, float]:
+    """One-way fixed-effects F over the groups, whose largest magnitude is ``scale``: (F, df1, df2)."""
+    k = sample.k
+    sizes, means, sums_sq = _group_moments(sample)
     total = sum(sizes)
-    grand = sum(n * m for n, m in zip(sizes, means)) / total
-    return sizes, means, grand, total
-
-
-def _one_way_f(arrays, scale: float, labels=None) -> tuple[float, float, float]:
-    """One-way fixed-effects F over the given groups: (F, df1, df2)."""
-    k = len(arrays)
-    sizes, means, grand, total = _group_stats(arrays)
     if total <= k:
         raise DegenerateDataError(
             f"need more observations than groups to estimate within-group spread (N={total}, k={k})"
         )
-    between = sum(n * (m - grand) ** 2 for n, m in zip(sizes, means))
-    within = sum(float(np.sum((a - m) ** 2)) for a, m in zip(arrays, means))
+    grand = sum(n * m for n, m in zip(sizes, means)) / total
+    squares = (n * (m - grand) ** 2 for n, m in zip(sizes, means))
+    between = _finite_sum(squares, "the between-groups sum of squares")
+    within = sum(sums_sq)
     if _sum_sq_is_zero(within, scale, total):
-        where = "" if labels is None else f" (groups {', '.join(repr(l) for l in labels)})"
         raise DegenerateDataError(
-            f"no within-group spread in any group{where}: the F statistic is 0/0"
+            f"no within-group spread in any group (groups {', '.join(repr(l) for l in sample.labels)}): "
+            "the F statistic is 0/0"
         )
     df1 = float(k - 1)
     df2 = float(total - k)
@@ -118,12 +107,7 @@ def levene_test(
     """
     kind = as_center_kind(center)
     corr = as_correction(correction)
-    minimum = 3 if corr == "hines-hines" else 2
-    for label, arr in sample.groups:
-        if arr.size < minimum:
-            raise ValidationError(
-                f"group {label!r} has size {arr.size}; this test needs at least {minimum}"
-            )
+    _require_group_size(sample, 3 if corr == "hines-hines" else 2)
     if corr == "hines-hines" and kind.name != "median":
         raise ValidationError("the Hines-Hines correction applies to median centers only")
     dev = deviations(sample, kind)
@@ -131,8 +115,7 @@ def levene_test(
         dev = hines_hines_correct(dev)
     elif corr == "obrien":
         dev = obrien_scale(dev)
-    scale = max(float(z.max()) for z in dev.values)
-    statistic, df1, df2 = _one_way_f(dev.values, scale, dev.labels)
+    statistic, df1, df2 = _one_way_f(dev, max(float(z.max()) for z in dev.values))
     return TestResult(
         method="levene",
         statistic=statistic,
@@ -154,17 +137,10 @@ def bartlett_m(sample: GroupedSample) -> TestResult:
     correction factor ``c_factor``.
     """
     k = sample.k
-    variances = []
-    for label, arr in sample.groups:
-        if arr.size < 2:
-            raise ValidationError(f"group {label!r} has size {arr.size}; variances need at least 2")
-        v = float(arr.var(ddof=1))
-        if _sum_sq_is_zero(v * (arr.size - 1), float(np.abs(arr).max()), arr.size):
-            raise DegenerateDataError(f"group {label!r} has zero sample variance")
-        variances.append(v)
-    sizes = sample.sizes
-    total = sample.total
-    pooled = sum((n - 1) * v for n, v in zip(sizes, variances)) / (total - k)
+    sizes, _, variances = _nonzero_variances(sample)
+    total = sum(sizes)
+    within = _finite_sum(((n - 1) * v for n, v in zip(sizes, variances)), "the pooled sum of squares")
+    pooled = within / (total - k)
     m_raw = (total - k) * np.log(pooled) - sum((n - 1) * np.log(v) for n, v in zip(sizes, variances))
     m_raw = max(float(m_raw), 0.0)  # clamp fp residue when variances are identical
     c_factor = 1.0 + (sum(1.0 / (n - 1) for n in sizes) - 1.0 / (total - k)) / (3.0 * (k - 1))
@@ -184,21 +160,19 @@ def kurtosis_estimate(sample: GroupedSample) -> float:
 
     Not excess kurtosis -- normal data give values near 3.
     """
-    sum_sq = 0.0
-    sum_quad = 0.0
-    scale = 0.0
-    for _, arr in sample.groups:
-        d = arr - arr.mean()
-        sum_sq += float(np.sum(d**2))
-        sum_quad += float(np.sum(d**4))
-        # Cancellation noise in d is proportional to the raw magnitudes.
-        scale = max(scale, float(np.abs(arr).max()))
+    # Cancellation noise in the deviations is proportional to the raw magnitudes.
+    scale = max(float(np.abs(arr).max()) for arr in sample.values)
+    exponent = math.frexp(scale)[1]
+    if abs(exponent) > 200:
+        # Fourth powers could overflow or underflow.  The ratio is
+        # scale-free, and scaling by a power of two is exact.
+        scaled = tuple((label, np.ldexp(arr, -exponent)) for label, arr in sample.groups)
+        return kurtosis_estimate(GroupedSample(scaled))
+    _, means, sums_sq = _group_moments(sample)
+    sum_sq = sum(sums_sq)
     if _sum_sq_is_zero(sum_sq, scale, sample.total):
         raise DegenerateDataError("kurtosis is undefined: every observation equals its group mean")
-    if sum_sq**2 == 0.0:
-        raise DegenerateDataError(
-            f"kurtosis is undefined: the sum of squared deviations {sum_sq!r} underflows when squared"
-        )
+    sum_quad = sum(float(np.sum((arr - m) ** 4)) for arr, m in zip(sample.values, means))
     return sample.total * sum_quad / sum_sq**2
 
 

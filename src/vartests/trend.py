@@ -14,11 +14,10 @@ import math
 from dataclasses import dataclass
 from typing import Sequence, Union
 
-import numpy as np
-
 from .errors import DegenerateDataError, ValidationError
 from .numerics import std_normal_sf
-from .samples import CenterKind, GroupedSample, _sum_sq_is_zero, as_center_kind, deviations
+from .samples import CenterKind, GroupedSample, as_center_kind, deviations
+from .samples import _finite_sum, _group_moments, _require_group_size, _sum_sq_is_zero
 
 __all__ = ["SIDES", "as_side", "ScoreSet", "TrendResult", "trend_test"]
 
@@ -110,12 +109,10 @@ def _weighted_slope(
     """
     total = sum(sizes)
     wbar = sum(n * w for n, w in zip(sizes, scores)) / total
-    denom = sum(n * (w - wbar) ** 2 for n, w in zip(sizes, scores))
+    denom = _finite_sum((n * (w - wbar) ** 2 for n, w in zip(sizes, scores)), "the scores' sum of squares")
     grand = sum(dev_means) / len(dev_means)
-    beta = sum(
-        n * (w - wbar) * (m - grand) for n, w, m in zip(sizes, scores, dev_means)
-    ) / denom
-    return beta, denom
+    contrast = (n * (w - wbar) * (m - grand) for n, w, m in zip(sizes, scores, dev_means))
+    return _finite_sum(contrast, "the trend contrast") / denom, denom
 
 
 def trend_test(
@@ -133,19 +130,12 @@ def trend_test(
     """
     kind = as_center_kind(center)
     w = _as_scores(scores, sample.k)
-    for label, arr in sample.groups:
-        if arr.size < 2:
-            raise ValidationError(f"group {label!r} has size {arr.size}; this test needs at least 2")
+    _require_group_size(sample, 2)
     dev = deviations(sample, kind)
-    sizes = dev.sizes
-    total = dev.total
-    if total <= sample.k:
-        raise DegenerateDataError(
-            f"need more observations than groups to estimate deviation spread (N={total}, k={sample.k})"
-        )
-    dev_means = [float(z.mean()) for z in dev.values]
+    sizes, dev_means, sums_sq = _group_moments(dev)
+    total = sum(sizes)
     beta, denom = _weighted_slope(sizes, w.w, dev_means)
-    within = sum(float(np.sum((z - m) ** 2)) for z, m in zip(dev.values, dev_means))
+    within = sum(sums_sq)
     pooled_var = within / (total - sample.k)
     std_error = math.sqrt(pooled_var / denom)
     if std_error == 0.0 or _sum_sq_is_zero(within, max(float(z.max()) for z in dev.values), total):

@@ -340,6 +340,18 @@ class TestExitContract:
         assert err.startswith("error: ") and "converge" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize(
+        "command",
+        [["test"], ["test", "--method", "box-anderson"], ["trend"], ["anova"], ["anova", "--method", "welch"]],
+    )
+    def test_values_too_large_to_square_exit_2(self, command, tmp_path, capsys):
+        path = tmp_path / "huge.csv"
+        rows = [f"{label},{v}e200" for label, values in (("a", "1234"), ("b", "2468")) for v in values]
+        path.write_text("group,value\n" + "\n".join(rows) + "\n")
+        assert cli.main([*command, "--input", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "too large" in err
+
 
 class TestOptionRegistry:
     """Each option name is defined once, by the module that owns it."""

@@ -20,6 +20,7 @@ from vartests import (
     AdaptiveConfig,
     DegenerateDataError,
     GroupedSample,
+    ValidationError,
     adaptive_anova,
     anova_f,
     bartlett_m,
@@ -141,3 +142,46 @@ def test_every_p_value_lies_in_the_unit_interval(groups):
             p_values[f"adaptive:{center}"] = [adaptive.preliminary.p_value, adaptive.final.p_value]
     for name, ps in p_values.items():
         assert all(0.0 <= p <= 1.0 for p in ps), f"{name}: {ps!r}"
+
+
+_FINITE = st.floats(allow_nan=False, allow_infinity=False)
+_THREE_BY_FIVE = [[1, 2, 4, 7, 3], [2, 5, 1, 9, 4.5], [3, 8, 2.5, 6, 1]]
+
+
+def _finite_or_too_large(run, sample):
+    """``run(sample)``, or None when the data are degenerate or too large for a float.
+
+    Deviations or rescaled deviations of values near the float maximum
+    are themselves infinite, and their ``DeviationSet`` says so.
+    """
+    try:
+        return run(sample)
+    except DegenerateDataError:
+        return None
+    except ValidationError as exc:
+        assert "too large" in str(exc) or "non-finite" in str(exc), f"undocumented ValidationError: {exc}"
+        return None
+
+
+@_SETTINGS
+@given(groups=_groups(values=_FINITE))
+# A deviation spread too large to square once made the trend test's
+# standard error inf, its z -0.0 and its two-sided p exactly 1.
+@example(groups=[[1e160 * x for x in g] for g in _THREE_BY_FIVE])
+# Fourth powers of deviations near 1e80 overflowed in the kurtosis.
+@example(groups=[[1e80 * x for x in g] for g in _THREE_BY_FIVE])
+def test_values_of_any_magnitude_give_finite_results_or_a_documented_error(groups):
+    sample = _sample(groups)
+    for name, test in _OMNIBUS_TESTS.items():
+        result = _finite_or_too_large(test, sample)
+        if result is not None:
+            assert math.isfinite(result.statistic) and 0.0 <= result.p_value <= 1.0, f"{name}: {result!r}"
+    for center in CENTERS:
+        trend = _finite_or_too_large(lambda s: trend_test(s, None, center), sample)
+        if trend is not None:
+            finite = math.isfinite(trend.z_statistic) and math.isfinite(trend.std_error)
+            assert finite and all(0.0 <= trend.p_value(side) <= 1.0 for side in SIDES), f"trend:{center}: {trend!r}"
+        config = AdaptiveConfig(preliminary_center=center)
+        adaptive = _finite_or_too_large(lambda s: adaptive_anova(s, config), sample)
+        for stage in () if adaptive is None else (adaptive.preliminary, adaptive.final):
+            assert math.isfinite(stage.statistic) and 0.0 <= stage.p_value <= 1.0, f"adaptive:{center}: {stage!r}"

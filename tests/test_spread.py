@@ -18,10 +18,14 @@ from vartests import (
     box_anderson_b3,
     deviations,
     draw,
+    hines_hines_correct,
     kurtosis_estimate,
     levene_test,
+    obrien_scale,
     trimmed,
 )
+from vartests.samples import CENTERS
+from vartests.spread import CORRECTIONS
 
 
 def make_sample(*arrays):
@@ -81,18 +85,28 @@ class TestLeveneOracle:
         assert custom.center.trim_proportion == 0.1
 
     def test_agrees_with_anova_on_deviations(self):
-        # The Levene statistic is exactly the one-way ANOVA F computed on
-        # the absolute deviations; the two code paths must agree.
+        # Levene's test is, by definition, the one-way ANOVA F computed on
+        # the absolute deviations (corrected as requested): a deviation set
+        # is a grouped sample, and the two calls must agree bit for bit.
+        corrections = {"none": lambda dev: dev, "hines-hines": hines_hines_correct, "obrien": obrien_scale}
+        assert tuple(corrections) == CORRECTIONS
         rng = np.random.default_rng(42)
         for _ in range(25):
             s = random_sample(rng, scales=[1.0, 3.0, 1.5])
-            for kind in ("mean", "median", "trimmed"):
+            for kind in CENTERS:
                 dev = deviations(s, kind)
-                as_sample = GroupedSample(dev.groups)
-                direct = levene_test(s, kind)
-                via_anova = anova_f(as_sample)
-                assert abs(direct.statistic - via_anova.statistic) <= 1e-12 * max(1.0, direct.statistic)
-                assert abs(direct.p_value - via_anova.p_value) <= 1e-12
+                assert isinstance(dev, GroupedSample)
+                for correction, correct in corrections.items():
+                    if correction == "hines-hines" and kind != "median":
+                        continue
+                    direct = levene_test(s, kind, correction)
+                    via_anova = anova_f(correct(dev))
+                    assert (direct.statistic, direct.df1, direct.df2, direct.p_value) == (
+                        via_anova.statistic,
+                        via_anova.df1,
+                        via_anova.df2,
+                        via_anova.p_value,
+                    )
 
 
 class TestLeveneInvariance:
