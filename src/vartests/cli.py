@@ -414,16 +414,8 @@ def _cmd_anova(args: argparse.Namespace) -> int:
 # simulate
 
 
-_SCENARIO_KEYS = (
-    "distribution",
-    "group_sizes",
-    "sigma_ratios",
-    "mean_shifts",
-    "tests",
-    "nominal_level",
-    "replications",
-    "master_seed",
-)
+_LIST_KEYS = ("group_sizes", "sigma_ratios", "mean_shifts", "tests")
+_SCENARIO_KEYS = ("distribution", *_LIST_KEYS, "nominal_level", "replications", "master_seed")
 
 
 def _parse_scenario_file(path: str, default_reps: int, grid_seed: int) -> tuple[Scenario, ...]:
@@ -464,15 +456,11 @@ def _parse_scenario_file(path: str, default_reps: int, grid_seed: int) -> tuple[
     if not blocks:
         raise ValidationError(f"scenario file {path!r} defines no scenarios")
 
-    def _int_list(text: str) -> tuple[int, ...]:
-        return tuple(int(piece.strip()) for piece in text.split(","))
-
-    def _float_list(text: str) -> tuple[float, ...]:
-        return tuple(float(piece.strip()) for piece in text.split(","))
-
     scenarios = []
     for index, block in enumerate(blocks):
         name = block["scenario"]
+        # Lists are split here; Scenario converts and checks their pieces.
+        lists = {key: tuple(map(str.strip, block[key].split(","))) for key in _LIST_KEYS if key in block}
         try:
             for required in ("group_sizes", "sigma_ratios", "tests"):
                 if required not in block:
@@ -481,10 +469,10 @@ def _parse_scenario_file(path: str, default_reps: int, grid_seed: int) -> tuple[
                 Scenario(
                     name=name,
                     distribution=block.get("distribution", "normal"),
-                    group_sizes=_int_list(block["group_sizes"]),
-                    sigma_ratios=_float_list(block["sigma_ratios"]),
-                    mean_shifts=_float_list(block["mean_shifts"]) if "mean_shifts" in block else None,
-                    tests=tuple(piece.strip() for piece in block["tests"].split(",")),
+                    group_sizes=lists["group_sizes"],
+                    sigma_ratios=lists["sigma_ratios"],
+                    mean_shifts=lists.get("mean_shifts"),
+                    tests=lists["tests"],
                     nominal_level=float(block.get("nominal_level", "0.05")),
                     replications=int(block["replications"]) if "replications" in block else default_reps,
                     master_seed=int(block["master_seed"]) if "master_seed" in block else derive_seed(grid_seed, index),

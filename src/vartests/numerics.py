@@ -42,6 +42,14 @@ _SQRT2 = math.sqrt(2.0)
 _SEED_MODULUS = 2**64
 
 
+def _iterations(s: float) -> int:
+    # Near the mean the series and the continued fractions need O(sqrt(s))
+    # terms for a large parameter s, so a fixed cap fails from s of a few
+    # thousand.  The budget is 400 + 10 sqrt(s); all of it scales with
+    # _MAX_ITER, so a cap of 0 makes every expansion fail.
+    return _MAX_ITER + int(_MAX_ITER / 40.0 * math.sqrt(s))
+
+
 def _beta_cf(a: float, b: float, x: float) -> float:
     # Continued fraction for the incomplete beta, modified Lentz evaluation.
     qab = a + b
@@ -53,7 +61,7 @@ def _beta_cf(a: float, b: float, x: float) -> float:
         d = _TINY
     d = 1.0 / d
     h = d
-    for m in range(1, _MAX_ITER + 1):
+    for m in range(1, _iterations(max(a, b)) + 1):
         m2 = 2 * m
         aa = m * (b - m) * x / ((qam + m2) * (a + m2))
         d = 1.0 + aa * d
@@ -111,18 +119,12 @@ def reg_inc_beta(a: float, b: float, x: float) -> float:
     return _reg_inc_beta_xc(a, b, x, 1.0 - x)
 
 
-def _gamma_iterations(s: float) -> int:
-    # Near x = s both gamma expansions need O(sqrt(s)) terms; a fixed cap
-    # fails to converge from s of a few thousand.
-    return _MAX_ITER + int(10.0 * math.sqrt(s))
-
-
 def _gamma_series_p(s: float, x: float) -> float:
     # Lower regularized gamma P(s, x) by power series; good for x < s + 1.
     term = 1.0 / s
     total = term
     denom = s
-    for _ in range(_gamma_iterations(s)):
+    for _ in range(_iterations(s)):
         denom += 1.0
         term *= x / denom
         total += term
@@ -137,7 +139,7 @@ def _gamma_cf_q(s: float, x: float) -> float:
     c = 1.0 / _TINY
     d = 1.0 / b
     h = d
-    for i in range(1, _gamma_iterations(s) + 1):
+    for i in range(1, _iterations(s) + 1):
         an = -i * (i - s)
         b += 2.0
         d = an * d + b

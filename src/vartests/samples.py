@@ -215,6 +215,10 @@ class DeviationSet(GroupedSample):
             if np.any(z < 0.0):
                 raise ValidationError(f"deviation group {label!r} contains negative values")
 
+    @classmethod
+    def from_columns(cls, *args, **kwargs) -> "DeviationSet":
+        raise ValidationError("a DeviationSet is built by deviations(), not from columns")
+
 
 def center(values: Sequence[float], kind: Union[CenterKind, str]) -> float:
     """Location estimate of ``values`` under the given center kind."""

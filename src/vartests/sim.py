@@ -66,11 +66,15 @@ def _base_distribution(token: str) -> DistributionSpec:
     return DistributionSpec(head, shape=df)
 
 
-def _parse_level(text: str, label: str) -> float:
-    try:
-        return float(text)
-    except ValueError:
-        raise ValidationError(f"bad level in test label {label!r}") from None
+_PLAIN_TESTS = {
+    "anova": lambda s: anova_f(s).p_value,
+    "welch": lambda s: welch_anova(s).p_value,
+    "bartlett": lambda s: bartlett_m(s).p_value,
+    "box-anderson": lambda s: box_anderson_b3(s).p_value,
+}
+
+# The tests that take ``:CENTER[:OPTION]``, with their default option.
+_OPTION_DEFAULTS = {"levene": "none", "trend": "increasing", "adaptive": "0.15"}
 
 
 def compile_test_label(label: str) -> tuple[str, Callable[[GroupedSample], float]]:
@@ -88,41 +92,30 @@ def compile_test_label(label: str) -> tuple[str, Callable[[GroupedSample], float
     """
     if not isinstance(label, str) or not label.strip():
         raise ValidationError(f"test label must be a non-empty string, got {label!r}")
-    parts = [piece.strip() for piece in label.strip().split(":")]
-    name, args = parts[0], parts[1:]
-    if name in ("anova", "welch", "bartlett", "box-anderson"):
+    name, *args = (piece.strip() for piece in label.strip().split(":"))
+    if name in _PLAIN_TESTS:
         if args:
             raise ValidationError(f"test {name!r} does not take parameters, got {label!r}")
-        runner = {
-            "anova": lambda s: anova_f(s).p_value,
-            "welch": lambda s: welch_anova(s).p_value,
-            "bartlett": lambda s: bartlett_m(s).p_value,
-            "box-anderson": lambda s: box_anderson_b3(s).p_value,
-        }[name]
-        return name, runner
+        return name, _PLAIN_TESTS[name]
+    if name not in _OPTION_DEFAULTS:
+        raise ValidationError(f"unknown test {name!r} in label {label!r}")
+    if len(args) > 2:
+        raise ValidationError(f"too many parameters in test label {label!r}")
+    kind = as_center_kind(args[0] if args else "median")
+    # An empty option is an error, not the default.
+    option = args[1] if len(args) > 1 else _OPTION_DEFAULTS[name]
     if name == "levene":
-        if len(args) > 2:
-            raise ValidationError(f"too many parameters in test label {label!r}")
-        kind = as_center_kind(args[0] if args else "median")
-        correction = as_correction(args[1] if len(args) > 1 else "none")
-        canonical = f"levene:{kind.name}:{correction}"
-        return canonical, lambda s: levene_test(s, kind, correction).p_value
+        correction = as_correction(option)
+        return f"levene:{kind.name}:{correction}", lambda s: levene_test(s, kind, correction).p_value
     if name == "trend":
-        if len(args) > 2:
-            raise ValidationError(f"too many parameters in test label {label!r}")
-        kind = as_center_kind(args[0] if args else "median")
-        side = as_side(args[1] if len(args) > 1 else "increasing")
-        canonical = f"trend:{kind.name}:{side}"
-        return canonical, lambda s: trend_test(s, None, kind).p_value(side)
-    if name == "adaptive":
-        if len(args) > 2:
-            raise ValidationError(f"too many parameters in test label {label!r}")
-        kind = as_center_kind(args[0] if args else "median")
-        level = _parse_level(args[1], label) if len(args) > 1 else 0.15
-        config = AdaptiveConfig(preliminary_level=level, preliminary_center=kind)
-        canonical = f"adaptive:{kind.name}:{level!r}"
-        return canonical, lambda s: adaptive_anova(s, config).final.p_value
-    raise ValidationError(f"unknown test {name!r} in label {label!r}")
+        side = as_side(option)
+        return f"trend:{kind.name}:{side}", lambda s: trend_test(s, None, kind).p_value(side)
+    try:
+        level = float(option)
+    except ValueError:
+        raise ValidationError(f"bad level in test label {label!r}") from None
+    config = AdaptiveConfig(preliminary_level=level, preliminary_center=kind)
+    return f"adaptive:{kind.name}:{level!r}", lambda s: adaptive_anova(s, config).final.p_value
 
 
 def _compile_quietly(labels: Sequence[str]):
@@ -163,23 +156,18 @@ class Scenario:
         if any(n < 2 for n in sizes):
             raise ValidationError(f"scenario {self.name!r} group sizes must all be >= 2")
         object.__setattr__(self, "group_sizes", sizes)
-        ratios = tuple(float(r) for r in self.sigma_ratios)
-        if len(ratios) != len(sizes):
-            raise ValidationError(
-                f"scenario {self.name!r} has {len(ratios)} sigma ratios for {len(sizes)} groups"
-            )
-        if not all(math.isfinite(r) and r > 0.0 for r in ratios):
-            raise ValidationError(f"scenario {self.name!r} sigma ratios must be positive and finite")
-        object.__setattr__(self, "sigma_ratios", ratios)
-        shifts = self.mean_shifts
-        shifts = tuple(0.0 for _ in sizes) if shifts is None else tuple(float(m) for m in shifts)
-        if len(shifts) != len(sizes):
-            raise ValidationError(
-                f"scenario {self.name!r} has {len(shifts)} mean shifts for {len(sizes)} groups"
-            )
-        if not all(math.isfinite(m) for m in shifts):
-            raise ValidationError(f"scenario {self.name!r} mean shifts must be finite")
-        object.__setattr__(self, "mean_shifts", shifts)
+        if self.mean_shifts is None:
+            object.__setattr__(self, "mean_shifts", (0.0,) * len(sizes))
+        # One float per group, each finite and above the floor.
+        per_group = (("sigma_ratios", 0.0, "positive and finite"), ("mean_shifts", -math.inf, "finite"))
+        for field_name, floor, rule in per_group:
+            values = tuple(float(v) for v in getattr(self, field_name))
+            what = field_name.replace("_", " ")
+            if len(values) != len(sizes):
+                raise ValidationError(f"scenario {self.name!r} has {len(values)} {what} for {len(sizes)} groups")
+            if not all(math.isfinite(v) and v > floor for v in values):
+                raise ValidationError(f"scenario {self.name!r} {what} must be {rule}")
+            object.__setattr__(self, field_name, values)
         if not self.tests:
             raise ValidationError(f"scenario {self.name!r} lists no tests")
         canonical = tuple(compile_test_label(label)[0] for label in self.tests)
@@ -342,46 +330,44 @@ def run_grid(scenarios: Sequence[Scenario], workers: int = 1) -> SimulationRepor
     return SimulationReport(cells=tuple(cells), elapsed=time.perf_counter() - started)
 
 
+_SIGMA_PATTERNS = ((1.0, 1.0, 1.0), (1.0, 2.0, 3.0), (1.0, 3.0, 5.0))
 _TABLE1_SIZES = ((10, 10, 10), (10, 10, 20), (10, 20, 10), (20, 10, 10))
-_TABLE1_RATIOS = ((1.0, 1.0, 1.0), (1.0, 2.0, 3.0), (1.0, 3.0, 5.0))
 _TABLE1_TESTS = ("anova", "welch", "adaptive:median:0.15")
+_POWER_FAMILIES = ("normal", "student-t:3", "chi-squared:3", "exponential")
+_POWER_SIZES = ((10, 10, 10), (25, 25, 25))
+
+
+def _grid(cells: Sequence[tuple], tests: Sequence[str], master_seed: int, replications: int) -> tuple[Scenario, ...]:
+    """One scenario per ``(prefix, distribution, sizes, ratios)`` cell, at level 0.05.
+
+    Cell i is named ``<prefix>-n<sizes>-s<ratios>`` and gets the master
+    seed ``derive_seed(master_seed, i)``, so the whole grid is
+    reproducible from one integer.
+    """
+    return tuple(
+        Scenario(
+            name=f"{prefix}-n{'-'.join(map(str, sizes))}-s{'-'.join(format(r, 'g') for r in ratios)}",
+            distribution=distribution,
+            group_sizes=sizes,
+            sigma_ratios=ratios,
+            mean_shifts=None,
+            tests=tests,
+            nominal_level=0.05,
+            replications=replications,
+            master_seed=derive_seed(master_seed, index),
+        )
+        for index, (prefix, distribution, sizes, ratios) in enumerate(cells)
+    )
 
 
 def table1_grid(master_seed: int, replications: int = 10000) -> tuple[Scenario, ...]:
     """The normal-errors size study: 4 size layouts x 3 variance ratios.
 
     Each scenario runs the classic ANOVA, the Welch test, and the
-    adaptive procedure at nominal level 0.05.  Per-scenario master seeds
-    are derived from ``master_seed`` and the scenario's position, so the
-    whole grid is reproducible from one integer.
+    adaptive procedure at nominal level 0.05.
     """
-    scenarios = []
-    for index, (sizes, ratios) in enumerate(
-        (sizes, ratios) for sizes in _TABLE1_SIZES for ratios in _TABLE1_RATIOS
-    ):
-        name = "table1-n{}-s{}".format(
-            "-".join(str(n) for n in sizes),
-            "-".join(format(r, "g") for r in ratios),
-        )
-        scenarios.append(
-            Scenario(
-                name=name,
-                distribution="normal",
-                group_sizes=sizes,
-                sigma_ratios=ratios,
-                mean_shifts=None,
-                tests=_TABLE1_TESTS,
-                nominal_level=0.05,
-                replications=replications,
-                master_seed=derive_seed(master_seed, index),
-            )
-        )
-    return tuple(scenarios)
-
-
-_POWER_FAMILIES = ("normal", "student-t:3", "chi-squared:3", "exponential")
-_POWER_RATIOS = ((1.0, 1.0, 1.0), (1.0, 2.0, 3.0), (1.0, 3.0, 5.0))
-_POWER_SIZES = ((10, 10, 10), (25, 25, 25))
+    cells = [("table1", "normal", sizes, ratios) for sizes in _TABLE1_SIZES for ratios in _SIGMA_PATTERNS]
+    return _grid(cells, _TABLE1_TESTS, master_seed, replications)
 
 
 def power_ordering_grid(
@@ -397,30 +383,8 @@ def power_ordering_grid(
     the trend test's home turf.
     """
     kind = as_center_kind(center)
-    tests = (f"levene:{kind.name}", f"trend:{kind.name}:increasing")
-    scenarios = []
-    index = 0
-    for family in _POWER_FAMILIES:
-        for ratios in _POWER_RATIOS:
-            for sizes in _POWER_SIZES:
-                name = "power-{}-{}-n{}-s{}".format(
-                    kind.name,
-                    family.replace(":", ""),
-                    "-".join(str(n) for n in sizes),
-                    "-".join(format(r, "g") for r in ratios),
-                )
-                scenarios.append(
-                    Scenario(
-                        name=name,
-                        distribution=family,
-                        group_sizes=sizes,
-                        sigma_ratios=ratios,
-                        mean_shifts=None,
-                        tests=tests,
-                        nominal_level=0.05,
-                        replications=replications,
-                        master_seed=derive_seed(master_seed, index),
-                    )
-                )
-                index += 1
-    return tuple(scenarios)
+    cells = [
+        (f"power-{kind.name}-{family.replace(':', '')}", family, sizes, ratios)
+        for family in _POWER_FAMILIES for ratios in _SIGMA_PATTERNS for sizes in _POWER_SIZES
+    ]
+    return _grid(cells, (f"levene:{kind.name}", f"trend:{kind.name}:increasing"), master_seed, replications)

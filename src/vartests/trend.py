@@ -11,6 +11,7 @@ directional contrast.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Sequence, Union
 
@@ -110,6 +111,8 @@ def _weighted_slope(
     total = sum(sizes)
     wbar = sum(n * w for n, w in zip(sizes, scores)) / total
     denom = _finite_sum((n * (w - wbar) ** 2 for n, w in zip(sizes, scores)), "the scores' sum of squares")
+    if denom < sys.float_info.min:
+        raise ValidationError(f"scores {tuple(scores)!r} are too close together: their sum of squares underflows")
     grand = sum(dev_means) / len(dev_means)
     contrast = (n * (w - wbar) * (m - grand) for n, w, m in zip(sizes, scores, dev_means))
     return _finite_sum(contrast, "the trend contrast") / denom, denom

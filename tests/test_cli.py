@@ -200,6 +200,11 @@ class TestTrendCommand:
         proc = run_cli("trend", "--input", three_group_csv, "--scores", "1,2")
         assert proc.returncode == 2
 
+    def test_scores_too_close_together_exit_2(self, toy_csv):
+        proc = run_cli("trend", "--input", toy_csv, "--scores", "1e-170,2e-170")
+        assert proc.returncode == 2
+        assert "too close together" in proc.stderr
+
     def test_bad_group_order(self, three_group_csv):
         proc = run_cli("trend", "--input", three_group_csv, "--group-order", "a,b,c")
         assert proc.returncode == 2

@@ -76,6 +76,15 @@ class TestAnovaF:
         with pytest.raises(DegenerateDataError):
             anova_f(make_sample([1, 1, 1], [2, 2, 2]))
 
+    def test_one_observation_per_group_is_degenerate(self):
+        with pytest.raises(DegenerateDataError, match="more observations than groups"):
+            anova_f(make_sample([1.0], [2.0], [4.0]))
+
+    def test_between_groups_sum_of_squares_overflow(self):
+        tight = np.array([1.0, 1.0 + 1e-9, 1.0 - 1e-9])
+        with pytest.raises(ValidationError, match="between-groups sum of squares overflows"):
+            anova_f(make_sample(1e155 * tight, -1e155 * tight))
+
 
 class TestWelch:
     def test_reduces_to_welch_t_with_two_groups(self):

@@ -130,6 +130,18 @@ class TestFSf:
         assert f_sf(1e9, 2.0, 8.0) < 1e-12
         assert f_sf(math.inf, 2.0, 8.0) == 0.0
 
+    def test_large_df_converge_and_match_scipy(self):
+        from scipy.special import fdtrc
+
+        for d1 in (1.0, 3.0, 10.0, 1e3, 1e5, 1e6, 1e7):
+            for d2 in (1e5, 1e6, 1e7):
+                mean = d2 / (d2 - 2.0)
+                sd = math.sqrt(2.0 * d2**2 * (d1 + d2 - 2.0) / (d1 * (d2 - 2.0) ** 2 * (d2 - 4.0)))
+                for k in (-5, -2, 0, 2, 5):
+                    x = mean + k * sd
+                    if x > 0.0:
+                        assert abs(f_sf(x, d1, d2) - fdtrc(d1, d2, x)) <= 2e-8, (x, d1, d2)
+
     def test_domain(self):
         with pytest.raises(ValidationError):
             f_sf(-0.5, 2.0, 3.0)

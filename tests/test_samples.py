@@ -8,6 +8,7 @@ import pytest
 from vartests import (
     CenterKind,
     DegenerateDataError,
+    DeviationSet,
     GroupedSample,
     ValidationError,
     as_center_kind,
@@ -125,6 +126,10 @@ class TestGroupedSample:
             s = GroupedSample.from_columns(labels, column)
             assert s.labels == tuple(buckets)
             assert [arr.tolist() for arr in s.values] == list(buckets.values())
+
+    def test_deviation_set_is_not_built_from_columns(self):
+        with pytest.raises(ValidationError, match=r"deviations\(\)"):
+            DeviationSet.from_columns(["a", "a", "b", "b"], [1.0, 2.0, 3.0, 4.0])
 
 
 class TestDeviations:

@@ -57,6 +57,10 @@ class TestLabels:
             "tukey",
             "",
             "levene:median:none:extra",
+            "levene:median:",
+            "trend:median:",
+            "adaptive:median:",
+            "levene::none",
         ):
             with pytest.raises(ValidationError):
                 compile_test_label(bad)

@@ -147,6 +147,12 @@ class TestScores:
         with pytest.raises(ValidationError):
             ScoreSet((3.0,))
 
+    @pytest.mark.parametrize("scores", [(1e-170, 2e-170), (0.0, 5e-324)])
+    def test_scores_whose_sum_of_squares_underflows(self, scores):
+        # Distinct, but their weighted sum of squares is below the smallest normal double.
+        with pytest.raises(ValidationError, match="too close together"):
+            trend_test(make_sample([1.0, 2.0, 4.0], [2.0, 5.0, 9.0]), scores=scores)
+
     def test_scoreset_linear(self):
         assert ScoreSet.linear(3).w == (1.0, 2.0, 3.0)
         with pytest.raises(ValidationError):
