@@ -23,25 +23,16 @@ import math
 import secrets
 import sys
 import warnings
-from typing import Any, Iterable, Sequence, TextIO
+from typing import Any, Callable, Iterable, Sequence, TextIO
 
 import numpy as np
 
 from .errors import DegenerateDataError, ValidationError
 from .means import AdaptiveConfig, adaptive_anova, anova_f, welch_anova
 from .numerics import derive_seed
-from .samples import (
-    CENTERS,
-    CenterKind,
-    GroupedSample,
-    as_center_kind,
-    deviations,
-    hines_hines_correct,
-    obrien_scale,
-    trimmed,
-)
+from .samples import CENTERS, MEAN, CenterKind, GroupedSample
 from .sim import Scenario, SimulationReport, compile_test_label, power_ordering_grid, run_grid, table1_grid
-from .spread import CORRECTIONS, TestResult, as_correction, bartlett_m, box_anderson_b3, levene_test
+from .spread import CORRECTIONS, TestResult, _analyzed_deviations, as_correction, bartlett_m, box_anderson_b3, levene_test
 from .trend import SIDES, trend_test
 
 __all__ = ["main"]
@@ -215,22 +206,19 @@ def _center_fields(kind: CenterKind | None) -> dict[str, Any]:
     return {"center": kind.name, "trim_proportion": kind.trim_proportion}
 
 
-def _group_rows(sample: GroupedSample, kind: CenterKind | None) -> list[dict[str, Any]]:
-    """Per-group summaries: location estimate, mean deviation, variance."""
-    effective = kind if kind is not None else as_center_kind("mean")
-    dev = deviations(sample, effective)
-    rows = []
-    for (label, arr), c, z in zip(sample.groups, dev.centers, dev.values):
-        rows.append(
-            {
-                "label": label,
-                "size": int(arr.size),
-                "center": float(c),
-                "deviation_mean": float(z.mean()),
-                "variance": float(arr.var(ddof=1)) if arr.size > 1 else None,
-            }
-        )
-    return rows
+def _group_rows(sample: GroupedSample, kind: CenterKind, correction: str) -> list[dict[str, Any]]:
+    """Per-group summaries: location estimate, mean analyzed deviation, variance."""
+    dev = _analyzed_deviations(sample, kind, correction)
+    return [
+        {
+            "label": label,
+            "size": int(arr.size),
+            "center": c,
+            "deviation_mean": float(z.mean()),
+            "variance": float(arr.var(ddof=1)) if arr.size > 1 else None,
+        }
+        for (label, arr), c, z in zip(sample.groups, dev.centers, dev.values)
+    ]
 
 
 def _test_result_fields(result: TestResult) -> dict[str, Any]:
@@ -246,16 +234,6 @@ def _test_result_fields(result: TestResult) -> dict[str, Any]:
     if result.details:
         doc["details"] = {key: float(value) for key, value in result.details.items()}
     return doc
-
-
-def _analyzed_deviation_means(sample: GroupedSample, kind: CenterKind, correction: str):
-    """Group means of the deviations exactly as the test analyzed them."""
-    dev = deviations(sample, kind)
-    if correction == "hines-hines":
-        dev = hines_hines_correct(dev)
-    elif correction == "obrien":
-        dev = obrien_scale(dev)
-    return [float(z.mean()) for z in dev.values]
 
 
 def _finish(doc: dict[str, Any], caught: list[warnings.WarningMessage], fmt: str) -> int:
@@ -304,11 +282,24 @@ def _render_text(doc: dict[str, Any]) -> str:
 # subcommands
 
 
-def _resolve_center(name: str | None, trim_proportion: float, default: str) -> CenterKind:
-    chosen = default if name is None else name
-    if chosen == "trimmed":
-        return trimmed(trim_proportion)
-    return as_center_kind(chosen)
+def _report(
+    args: argparse.Namespace,
+    document: Callable[[GroupedSample], dict[str, Any]],
+    kind: CenterKind,
+    correction: str = "none",
+    group_order: list[str] | None = None,
+) -> int:
+    """Read the dataset, compute the document while recording warnings, add the group rows, print."""
+    sample = _read_dataset(args.input, group_order)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        doc = document(sample)
+    doc["groups"] = _group_rows(sample, kind, correction)
+    return _finish(doc, caught, args.format)
+
+
+# The center each alias of ``--method levene`` fixes.
+_FIXED_CENTERS = {"bfl": "median", "trimmed": "trimmed"}
 
 
 def _cmd_test(args: argparse.Namespace) -> int:
@@ -316,34 +307,16 @@ def _cmd_test(args: argparse.Namespace) -> int:
     if method in ("bartlett", "box-anderson"):
         if args.center is not None or args.correction is not None:
             raise ValidationError(f"--center/--correction do not apply to --method {method}")
-        sample = _read_dataset(args.input)
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            result = bartlett_m(sample) if method == "bartlett" else box_anderson_b3(sample)
-        doc = _test_result_fields(result)
-        doc["groups"] = _group_rows(sample, None)
-        return _finish(doc, caught, args.format)
-
-    if method == "bfl":
-        if args.center not in (None, "median"):
-            raise ValidationError("--method bfl fixes the center to median; use --method levene to vary it")
-        center = as_center_kind("median")
-    elif method == "trimmed":
-        if args.center not in (None, "trimmed"):
-            raise ValidationError("--method trimmed fixes the center to trimmed; use --method levene to vary it")
-        center = trimmed(args.trim_proportion)
-    else:  # levene
-        center = _resolve_center(args.center, args.trim_proportion, "median")
+        statistic = bartlett_m if method == "bartlett" else box_anderson_b3
+        return _report(args, lambda sample: _test_result_fields(statistic(sample)), MEAN)
+    fixed = _FIXED_CENTERS.get(method)
+    if fixed is not None and args.center not in (None, fixed):
+        raise ValidationError(f"--method {method} fixes the center to {fixed}; use --method levene to vary it")
+    center = CenterKind(fixed or args.center or "median", args.trim_proportion)
     correction = as_correction(args.correction)
-    sample = _read_dataset(args.input)
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        result = levene_test(sample, center, correction)
-    doc = _test_result_fields(result)
-    doc["groups"] = _group_rows(sample, center)
-    for row, analyzed in zip(doc["groups"], _analyzed_deviation_means(sample, center, correction)):
-        row["deviation_mean"] = analyzed
-    return _finish(doc, caught, args.format)
+    return _report(
+        args, lambda sample: _test_result_fields(levene_test(sample, center, correction)), center, correction
+    )
 
 
 def _parse_scores(text: str | None) -> list[float] | None:
@@ -356,58 +329,56 @@ def _parse_scores(text: str | None) -> list[float] | None:
 
 
 def _cmd_trend(args: argparse.Namespace) -> int:
-    center = _resolve_center(args.center, args.trim_proportion, "median")
+    center = CenterKind(args.center or "median", args.trim_proportion)
     scores = _parse_scores(args.scores)
-    sample = _read_dataset(args.input, _parse_group_order(args.group_order))
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
+
+    def document(sample: GroupedSample) -> dict[str, Any]:
         result = trend_test(sample, scores, center)
-    doc: dict[str, Any] = {
-        "method": "trend",
-        "beta_hat": float(result.beta_hat),
-        "std_error": float(result.std_error),
-        "z_statistic": float(result.z_statistic),
-        "side": args.side,
-        "p_value": float(result.p_value(args.side)),
-        "p_increasing": float(result.p_increasing),
-        "p_decreasing": float(result.p_decreasing),
-        "p_two_sided": float(result.p_two_sided),
-    }
-    doc.update(_center_fields(result.center))
-    doc["scores"] = [float(w) for w in result.scores]
-    doc["groups"] = _group_rows(sample, result.center)
-    return _finish(doc, caught, args.format)
+        doc: dict[str, Any] = {
+            "method": "trend",
+            "beta_hat": float(result.beta_hat),
+            "std_error": float(result.std_error),
+            "z_statistic": float(result.z_statistic),
+            "side": args.side,
+            "p_value": float(result.p_value(args.side)),
+            "p_increasing": float(result.p_increasing),
+            "p_decreasing": float(result.p_decreasing),
+            "p_two_sided": float(result.p_two_sided),
+        }
+        doc.update(_center_fields(result.center))
+        doc["scores"] = [float(w) for w in result.scores]
+        return doc
+
+    return _report(args, document, center, group_order=_parse_group_order(args.group_order))
 
 
 def _cmd_anova(args: argparse.Namespace) -> int:
     method = args.method
     if method != "adaptive" and (args.prelim_level is not None or args.prelim_center is not None):
         raise ValidationError("--prelim-level/--prelim-center only apply to --method adaptive")
-    sample = _read_dataset(args.input)
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
+
+    def document(sample: GroupedSample) -> dict[str, Any]:
         if method == "classic":
-            doc = _test_result_fields(anova_f(sample))
-        elif method == "welch":
-            doc = _test_result_fields(welch_anova(sample))
-        else:
-            level = 0.15 if args.prelim_level is None else args.prelim_level
-            prelim_center = _resolve_center(args.prelim_center, args.trim_proportion, "median")
-            config = AdaptiveConfig(preliminary_level=level, preliminary_center=prelim_center)
-            outcome = adaptive_anova(sample, config)
-            doc = {
-                "method": "adaptive",
-                "branch": outcome.chosen_branch,
-                "statistic": float(outcome.final.statistic),
-                "df1": float(outcome.final.df1),
-                "df2": float(outcome.final.df2),
-                "p_value": float(outcome.final.p_value),
-                "preliminary_level": float(config.preliminary_level),
-                "preliminary": _test_result_fields(outcome.preliminary),
-                "final": _test_result_fields(outcome.final),
-            }
-    doc["groups"] = _group_rows(sample, None)
-    return _finish(doc, caught, args.format)
+            return _test_result_fields(anova_f(sample))
+        if method == "welch":
+            return _test_result_fields(welch_anova(sample))
+        level = 0.15 if args.prelim_level is None else args.prelim_level
+        prelim_center = CenterKind(args.prelim_center or "median", args.trim_proportion)
+        config = AdaptiveConfig(preliminary_level=level, preliminary_center=prelim_center)
+        outcome = adaptive_anova(sample, config)
+        return {
+            "method": "adaptive",
+            "branch": outcome.chosen_branch,
+            "statistic": float(outcome.final.statistic),
+            "df1": float(outcome.final.df1),
+            "df2": float(outcome.final.df2),
+            "p_value": float(outcome.final.p_value),
+            "preliminary_level": float(config.preliminary_level),
+            "preliminary": _test_result_fields(outcome.preliminary),
+            "final": _test_result_fields(outcome.final),
+        }
+
+    return _report(args, document, MEAN)
 
 
 # ---------------------------------------------------------------------------

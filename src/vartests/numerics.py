@@ -112,8 +112,8 @@ def reg_inc_beta(a: float, b: float, x: float) -> float:
     a = float(a)
     b = float(b)
     x = float(x)
-    if not (a > 0.0 and b > 0.0):
-        raise ValidationError(f"reg_inc_beta requires a > 0 and b > 0, got a={a!r}, b={b!r}")
+    if not (0.0 < a < math.inf and 0.0 < b < math.inf):
+        raise ValidationError(f"reg_inc_beta requires finite a > 0 and b > 0, got a={a!r}, b={b!r}")
     if not 0.0 <= x <= 1.0:
         raise ValidationError(f"reg_inc_beta requires 0 <= x <= 1, got x={x!r}")
     return _reg_inc_beta_xc(a, b, x, 1.0 - x)
@@ -160,12 +160,14 @@ def reg_inc_gamma_lower(s: float, x: float) -> float:
     """Lower regularized incomplete gamma function P(s, x)."""
     s = float(s)
     x = float(x)
-    if not s > 0.0:
-        raise ValidationError(f"reg_inc_gamma_lower requires s > 0, got {s!r}")
+    if not 0.0 < s < math.inf:
+        raise ValidationError(f"reg_inc_gamma_lower requires finite s > 0, got {s!r}")
     if not x >= 0.0:
         raise ValidationError(f"reg_inc_gamma_lower requires x >= 0, got {x!r}")
     if x == 0.0:
         return 0.0
+    if math.isinf(x):
+        return 1.0
     if x < s + 1.0:
         return _gamma_series_p(s, x)
     return 1.0 - _gamma_cf_q(s, x)
@@ -184,8 +186,8 @@ def f_sf(x: float, d1: float, d2: float) -> float:
     x = float(x)
     d1 = float(d1)
     d2 = float(d2)
-    if not (d1 > 0.0 and d2 > 0.0):
-        raise ValidationError(f"f_sf requires positive degrees of freedom, got d1={d1!r}, d2={d2!r}")
+    if not (0.0 < d1 < math.inf and 0.0 < d2 < math.inf):
+        raise ValidationError(f"f_sf requires finite positive degrees of freedom, got d1={d1!r}, d2={d2!r}")
     if not x >= 0.0:
         raise ValidationError(f"f_sf requires x >= 0, got {x!r}")
     if x == 0.0:
@@ -202,8 +204,8 @@ def chi_sq_sf(x: float, k: float) -> float:
     """Survival function P(X > x) of the chi-squared distribution with k df."""
     x = float(x)
     k = float(k)
-    if not k > 0.0:
-        raise ValidationError(f"chi_sq_sf requires k > 0, got {k!r}")
+    if not 0.0 < k < math.inf:
+        raise ValidationError(f"chi_sq_sf requires finite k > 0, got {k!r}")
     if not x >= 0.0:
         raise ValidationError(f"chi_sq_sf requires x >= 0, got {x!r}")
     if math.isinf(x):
@@ -243,9 +245,9 @@ class DistributionSpec:
                 f"unknown distribution family {self.family!r}; expected one of {', '.join(_FAMILIES)}"
             )
         if self.family in _SHAPE_FAMILIES:
-            if self.shape is None or not self.shape > 0.0:
+            if self.shape is None or not 0.0 < self.shape < math.inf:
                 raise ValidationError(
-                    f"family {self.family!r} requires a positive shape (degrees of freedom), got {self.shape!r}"
+                    f"family {self.family!r} requires a finite positive shape (degrees of freedom), got {self.shape!r}"
                 )
         elif self.shape is not None:
             raise ValidationError(f"family {self.family!r} does not take a shape parameter")

@@ -245,8 +245,26 @@ def _replicate_sample(scenario: Scenario, base: DistributionSpec, rep: int) -> G
     for index, size in enumerate(scenario.group_sizes):
         errors = _draw(base, size, rng)
         values = scenario.mean_shifts[index] + scenario.sigma_ratios[index] * errors
+        if not np.isfinite(values).all():
+            # e.g. a t variate whose chi-squared draw underflowed to 0 at a tiny df
+            raise DegenerateDataError(f"replicate {rep} drew non-finite values in group 'g{index + 1}'")
         groups.append((f"g{index + 1}", values))
     return GroupedSample(tuple(groups))
+
+
+def _p_value(
+    scenario: Scenario, test: str, runner: Callable[[GroupedSample], float], sample: GroupedSample
+) -> float | None:
+    """The test's p-value on ``sample``, or None if the sample is degenerate for it.
+
+    A ``ValidationError`` is re-raised naming the scenario and the test.
+    """
+    try:
+        return runner(sample)
+    except DegenerateDataError:
+        return None
+    except ValidationError as exc:
+        raise ValidationError(f"scenario {scenario.name!r}: test {test!r}: {exc}") from None
 
 
 def _run_span(scenario: Scenario, start: int, stop: int) -> tuple[list[int], list[int]]:
@@ -254,15 +272,19 @@ def _run_span(scenario: Scenario, start: int, stop: int) -> tuple[list[int], lis
     base = _base_distribution(scenario.distribution)
     rejections = [0] * len(runners)
     errors = [0] * len(runners)
-    for rep in range(start, stop):
-        sample = _replicate_sample(scenario, base, rep)
-        for slot, runner in enumerate(runners):
+    # Extreme draws overflow or divide by zero; the replicate is counted, not announced.
+    with np.errstate(all="ignore"):
+        for rep in range(start, stop):
             try:
-                p = runner(sample)
-            except DegenerateDataError:
-                errors[slot] += 1
-            else:
-                if p < scenario.nominal_level:
+                sample = _replicate_sample(scenario, base, rep)
+            except DegenerateDataError:  # degenerate for every test
+                errors = [count + 1 for count in errors]
+                continue
+            for slot, (test, runner) in enumerate(zip(scenario.tests, runners)):
+                p = _p_value(scenario, test, runner, sample)
+                if p is None:
+                    errors[slot] += 1
+                elif p < scenario.nominal_level:
                     rejections[slot] += 1
     return rejections, errors
 
@@ -277,11 +299,8 @@ def _dry_run(scenario: Scenario) -> None:
             for i, size in enumerate(scenario.group_sizes)
         )
     )
-    for runner in runners:
-        try:
-            runner(probe)
-        except DegenerateDataError:
-            pass
+    for test, runner in zip(scenario.tests, runners):
+        _p_value(scenario, test, runner, probe)
 
 
 def _pool_size(scenarios: Sequence[Scenario], workers: int) -> int:

@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import DegenerateDataError, KurtosisError, ValidationError
 from .numerics import chi_sq_sf, f_sf
-from .samples import CenterKind, GroupedSample, as_center_kind, deviations, hines_hines_correct, obrien_scale
+from .samples import CenterKind, DeviationSet, GroupedSample, as_center_kind, deviations, hines_hines_correct, obrien_scale
 from .samples import _finite_sum, _group_moments, _nonzero_variances, _require_group_size, _sum_sq_is_zero
 
 __all__ = [
@@ -69,6 +69,16 @@ def as_correction(correction: Union[str, None]) -> str:
     )
 
 
+def _analyzed_deviations(sample: GroupedSample, kind: CenterKind, correction: str) -> DeviationSet:
+    """The deviations a Levene test with this center and correction analyzes."""
+    dev = deviations(sample, kind)
+    if correction == "hines-hines":
+        return hines_hines_correct(dev)
+    if correction == "obrien":
+        return obrien_scale(dev)
+    return dev
+
+
 def _one_way_f(sample: GroupedSample, scale: float) -> tuple[float, float, float]:
     """One-way fixed-effects F over the groups, whose largest magnitude is ``scale``: (F, df1, df2)."""
     k = sample.k
@@ -110,11 +120,7 @@ def levene_test(
     _require_group_size(sample, 3 if corr == "hines-hines" else 2)
     if corr == "hines-hines" and kind.name != "median":
         raise ValidationError("the Hines-Hines correction applies to median centers only")
-    dev = deviations(sample, kind)
-    if corr == "hines-hines":
-        dev = hines_hines_correct(dev)
-    elif corr == "obrien":
-        dev = obrien_scale(dev)
+    dev = _analyzed_deviations(sample, kind, corr)
     statistic, df1, df2 = _one_way_f(dev, max(float(z.max()) for z in dev.values))
     return TestResult(
         method="levene",

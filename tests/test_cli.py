@@ -4,6 +4,7 @@ import json
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 from scipy import stats
 
@@ -110,6 +111,90 @@ class TestTestCommand:
         doc = json.loads(run_cli("test", "--input", three_group_csv).stdout)
         again = json.loads(json.dumps(doc))
         assert again == doc
+
+
+# Odd and even group sizes, so that Hines-Hines both drops and folds.
+_ROW_GROUPS = {
+    "x": [1.0, 2.0, 4.0, 8.0, 3.0],
+    "y": [2.0, 2.5, 7.0, 1.0, 9.0, 4.0],
+    "z": [3.0, 1.0, 4.0, 1.5, 5.0, 9.0, 2.0],
+}
+_CORRECT = {"none": lambda dev: dev, "hines-hines": samples.hines_hines_correct, "obrien": samples.obrien_scale}
+
+
+class TestGroupRows:
+    """Each group row holds the library's numbers for the deviations the test analyzed."""
+
+    @pytest.fixture()
+    def rows_csv(self, tmp_path):
+        path = tmp_path / "rows.csv"
+        lines = [f"{label},{v!r}" for label, values in _ROW_GROUPS.items() for v in values]
+        path.write_text("group,value\n" + "\n".join(lines) + "\n")
+        return str(path)
+
+    @pytest.mark.parametrize(
+        "argv, center, correction",
+        [
+            pytest.param(argv, center, correction, id=" ".join(argv))
+            for argv, center, correction in [
+                *(
+                    (["test", "--center", center, "--correction", correction], center, correction)
+                    for center in samples.CENTERS
+                    for correction in spread.CORRECTIONS
+                    if correction != "hines-hines" or center == "median"
+                ),
+                (["test", "--method", "bfl"], "median", "none"),
+                (["test", "--method", "bfl", "--correction", "hines-hines"], "median", "hines-hines"),
+                (["test", "--method", "trimmed"], "trimmed", "none"),
+                (["test", "--method", "bartlett"], "mean", "none"),
+                (["test", "--method", "box-anderson"], "mean", "none"),
+                (["trend"], "median", "none"),
+                (["trend", "--center", "trimmed"], "trimmed", "none"),
+                (["anova", "--method", "welch"], "mean", "none"),
+                (["anova"], "mean", "none"),
+            ]
+        ],
+    )
+    def test_rows_are_the_library_numbers(self, rows_csv, capsys, argv, center, correction):
+        assert cli.main([*argv, "--input", rows_csv]) == 0
+        rows = json.loads(capsys.readouterr().out)["groups"]
+        sample = samples.GroupedSample(tuple(_ROW_GROUPS.items()))
+        dev = samples.deviations(sample, center)
+        analyzed = _CORRECT[correction](dev)
+        assert rows == [
+            {
+                "label": label,
+                "size": len(values),
+                "center": c,
+                "deviation_mean": float(np.mean(z)),
+                "variance": float(np.var(values, ddof=1)),
+            }
+            for (label, values), c, z in zip(_ROW_GROUPS.items(), dev.centers, analyzed.values)
+        ]
+
+
+class TestFlagChecks:
+    """A bad flag, or a bad pair of flags, is reported before the dataset is read."""
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            pytest.param(argv, message, id=" ".join(argv))
+            for argv, message in [
+                (["test", "--method", "bfl", "--center", "mean"], "--method bfl fixes the center to median"),
+                (["test", "--method", "trimmed", "--center", "median"], "--method trimmed fixes the center to trimmed"),
+                (["test", "--method", "bartlett", "--correction", "none"], "--center/--correction do not apply"),
+                (["test", "--center", "trimmed", "--trim-proportion", "0.7"], "trim proportion must lie in [0, 0.5)"),
+                (["trend", "--scores", "1,x"], "bad --scores '1,x'"),
+                (["trend", "--group-order", " , "], "--group-order lists no labels"),
+                (["anova", "--method", "welch", "--prelim-level", "0.2"], "--prelim-level/--prelim-center only apply"),
+            ]
+        ],
+    )
+    def test_reported_before_the_file_is_read(self, tmp_path, capsys, argv, message):
+        assert cli.main([*argv, "--input", str(tmp_path / "missing.csv")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {message}") and err.count("\n") == 1
 
 
 class TestInputErrors:
@@ -330,6 +415,50 @@ class TestSimulateCommand:
         recorded = out.read_text().splitlines()[1].split(",")[0]
         assert int(recorded) >= 0
         assert str(recorded) in proc.stdout
+
+
+class TestSimulateFaults:
+    """A scenario's bad draws are tallied; its configuration errors name it."""
+
+    def test_non_finite_draws_are_degenerate_replicates(self, tmp_path):
+        # At df 0.02 the chi-squared draw behind a t variate can underflow to 0.
+        grid = tmp_path / "g.txt"
+        grid.write_text(
+            "scenario = heavy\ndistribution = student-t:0.02\ngroup_sizes = 5, 5, 5\n"
+            "sigma_ratios = 1, 1, 1\ntests = levene, anova, bartlett, trend\nreplications = 200\n"
+        )
+        outs = []
+        for workers in ("1", "2"):
+            out = tmp_path / f"w{workers}.csv"
+            proc = run_cli("simulate", "--grid", str(grid), "--seed", "1", "--workers", workers, "--out", str(out))
+            assert proc.returncode == 0, proc.stderr
+            assert proc.stderr == ""
+            outs.append(out.read_bytes())
+        assert outs[0] == outs[1]
+        rows = outs[0].decode().splitlines()[1:]
+        assert len(rows) == 4 and all(int(row.split(",")[-1]) > 0 for row in rows)
+
+    @pytest.mark.parametrize(
+        "bad, message",
+        [
+            (
+                "group_sizes = 2, 3\nsigma_ratios = 1, 1\ntests = levene:median:hines-hines\n",
+                "test 'levene:median:hines-hines': group 'g1' has size 2; this test needs at least 3",
+            ),
+            (
+                "group_sizes = 5, 5\nsigma_ratios = 1, 1e200\ntests = anova\n",
+                "test 'anova': the sum of squares overflows a float: the values are too large (keep them within 1e150)",
+            ),
+        ],
+        ids=["group-too-small", "values-too-large"],
+    )
+    def test_errors_name_the_scenario_and_the_test(self, tmp_path, bad, message):
+        grid = tmp_path / "g.txt"
+        fine = "group_sizes = 5, 5\nsigma_ratios = 1, 1\ntests = anova\n"
+        grid.write_text(f"scenario = fine\n{fine}replications = 20\n\nscenario = bad\n{bad}replications = 20\n")
+        proc = run_cli("simulate", "--grid", str(grid), "--seed", "1", "--out", str(tmp_path / "o.csv"))
+        assert proc.returncode == 2
+        assert proc.stderr == f"error: scenario 'bad': {message}\n"
 
 
 class TestExitContract:

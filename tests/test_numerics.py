@@ -182,6 +182,32 @@ class TestChiSqSf:
                 assert abs(chi_sq_sf(x, k) - float(want)) <= 1e-10, (x, k)
 
 
+class TestInfiniteParameters:
+    """An infinite df or shape is rejected; an infinite argument has its limit."""
+
+    @pytest.mark.parametrize(
+        "fn, args, expected",
+        [
+            (f_sf, (1.0, math.inf, 10.0), ValidationError),
+            (f_sf, (1.0, 10.0, math.inf), ValidationError),
+            (chi_sq_sf, (1.0, math.inf), ValidationError),
+            (reg_inc_beta, (math.inf, 1.0, 0.5), ValidationError),
+            (reg_inc_beta, (1.0, math.inf, 0.5), ValidationError),
+            (reg_inc_gamma_lower, (math.inf, 1.0), ValidationError),
+            (reg_inc_gamma_lower, (1.0, math.inf), 1.0),
+            (reg_inc_gamma_lower, (1e6, math.inf), 1.0),
+            (chi_sq_sf, (math.inf, 3.0), 0.0),
+            (f_sf, (math.inf, 2.0, 3.0), 0.0),
+        ],
+    )
+    def test_infinite_parameter(self, fn, args, expected):
+        if expected is ValidationError:
+            with pytest.raises(ValidationError, match="finite"):
+                fn(*args)
+        else:
+            assert fn(*args) == expected
+
+
 class TestStdNormalSf:
     def test_known_values(self):
         assert std_normal_sf(0.0) == 0.5
@@ -212,6 +238,9 @@ class TestDistributionSpec:
             DistributionSpec("normal", shape=3.0)
         with pytest.raises(ValidationError):
             DistributionSpec("cauchy")
+        # Its draws would all be non-finite.
+        with pytest.raises(ValidationError, match="finite positive shape"):
+            DistributionSpec("student-t", shape=math.inf)
 
 
 class TestRngStream:
