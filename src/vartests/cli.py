@@ -32,7 +32,8 @@ from .means import AdaptiveConfig, adaptive_anova, anova_f, welch_anova
 from .numerics import derive_seed
 from .samples import CENTERS, MEAN, CenterKind, GroupedSample
 from .sim import Scenario, SimulationReport, compile_test_label, power_ordering_grid, run_grid, table1_grid
-from .spread import CORRECTIONS, TestResult, _analyzed_deviations, as_correction, bartlett_m, box_anderson_b3, levene_test
+from .spread import CORRECTIONS, TestResult, _analyzed_deviations, _check_correction, as_correction
+from .spread import bartlett_m, box_anderson_b3, levene_test
 from .trend import SIDES, trend_test
 
 __all__ = ["main"]
@@ -288,14 +289,15 @@ def _report(
     kind: CenterKind,
     correction: str = "none",
     group_order: list[str] | None = None,
+    warned: Sequence[warnings.WarningMessage] = (),
 ) -> int:
-    """Read the dataset, compute the document while recording warnings, add the group rows, print."""
+    """Read the dataset, compute the document recording warnings (after ``warned``), add the group rows, print."""
     sample = _read_dataset(args.input, group_order)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         doc = document(sample)
     doc["groups"] = _group_rows(sample, kind, correction)
-    return _finish(doc, caught, args.format)
+    return _finish(doc, [*warned, *caught], args.format)
 
 
 # The center each alias of ``--method levene`` fixes.
@@ -314,6 +316,7 @@ def _cmd_test(args: argparse.Namespace) -> int:
         raise ValidationError(f"--method {method} fixes the center to {fixed}; use --method levene to vary it")
     center = CenterKind(fixed or args.center or "median", args.trim_proportion)
     correction = as_correction(args.correction)
+    _check_correction(center, correction)
     return _report(
         args, lambda sample: _test_result_fields(levene_test(sample, center, correction)), center, correction
     )
@@ -357,14 +360,17 @@ def _cmd_anova(args: argparse.Namespace) -> int:
     if method != "adaptive" and (args.prelim_level is not None or args.prelim_center is not None):
         raise ValidationError("--prelim-level/--prelim-center only apply to --method adaptive")
 
+    level = 0.15 if args.prelim_level is None else args.prelim_level
+    with warnings.catch_warnings(record=True) as warned:  # a level's warning goes into the report
+        warnings.simplefilter("always")
+        if method == "adaptive":
+            config = AdaptiveConfig(level, CenterKind(args.prelim_center or "median", args.trim_proportion))
+
     def document(sample: GroupedSample) -> dict[str, Any]:
         if method == "classic":
             return _test_result_fields(anova_f(sample))
         if method == "welch":
             return _test_result_fields(welch_anova(sample))
-        level = 0.15 if args.prelim_level is None else args.prelim_level
-        prelim_center = CenterKind(args.prelim_center or "median", args.trim_proportion)
-        config = AdaptiveConfig(preliminary_level=level, preliminary_center=prelim_center)
         outcome = adaptive_anova(sample, config)
         return {
             "method": "adaptive",
@@ -378,7 +384,7 @@ def _cmd_anova(args: argparse.Namespace) -> int:
             "final": _test_result_fields(outcome.final),
         }
 
-    return _report(args, document, MEAN)
+    return _report(args, document, MEAN, warned=warned)
 
 
 # ---------------------------------------------------------------------------

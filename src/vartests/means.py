@@ -11,21 +11,18 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
-from typing import Union
+from typing import Sequence, Union
 
 import numpy as np
 
 from .errors import DegenerateDataError, ValidationError
 from .numerics import f_sf
-from .samples import CenterKind, GroupedSample, MEDIAN, _finite_sum, _nonzero_variances, as_center_kind
+from .samples import CenterKind, GroupedSample, MEDIAN, as_center_kind
+from .samples import _checked_sum, _flag, _nonzero_variances, _one_replicate, _require_group_size, _square
 from .spread import TestResult, _one_way_f, levene_test
 
 __all__ = [
-    "PreliminaryLevelWarning",
-    "AdaptiveConfig",
-    "AdaptiveResult",
-    "anova_f",
-    "welch_anova",
+    "PreliminaryLevelWarning", "AdaptiveConfig", "AdaptiveResult", "anova_f", "welch_anova",
     "adaptive_anova",
 ]
 
@@ -79,14 +76,26 @@ class AdaptiveResult:
 
 def anova_f(sample: GroupedSample) -> TestResult:
     """Classic one-way fixed-effects ANOVA F test for equal group means."""
-    statistic, df1, df2 = _one_way_f(sample, max(float(np.abs(arr).max()) for arr in sample.values))
-    return TestResult(
-        method="anova",
-        statistic=statistic,
-        df1=df1,
-        df2=df2,
-        p_value=f_sf(statistic, df1, df2),
-    )
+    statistic, df1, df2 = _one_replicate(_one_way_f, sample.values, sample.labels)
+    statistic = float(statistic)
+    return TestResult("anova", statistic, df1, df2, f_sf(statistic, df1, df2))
+
+
+def _welch(groups: Sequence[np.ndarray], labels: Sequence[str], faults: list) -> tuple[object, float, object]:
+    """Welch's statistic over the groups: (F, df1, df2), where df2 varies by row."""
+    k = len(groups)
+    sizes = [arr.shape[-1] for arr in groups]
+    means, variances = _nonzero_variances(groups, labels, faults)
+    weights = [n / v for n, v in zip(sizes, variances)]
+    weight_sum = sum(weights)
+    message = "group variances are so small that the Welch weights n/s^2 overflow"
+    _flag(faults, np.isinf(weight_sum), DegenerateDataError, message)
+    grand = sum(w * m for w, m in zip(weights, means)) / weight_sum
+    imbalance = sum(_square(1.0 - w / weight_sum) / (n - 1) for w, n in zip(weights, sizes))
+    between = (w * _square(m - grand) for w, m in zip(weights, means))
+    numerator = _checked_sum(faults, between, "the weighted between-groups sum of squares") / (k - 1)
+    denominator = 1.0 + 2.0 * (k - 2) / (k**2 - 1.0) * imbalance
+    return numerator / denominator, float(k - 1), (k**2 - 1.0) / (3.0 * imbalance)
 
 
 def welch_anova(sample: GroupedSample) -> TestResult:
@@ -97,27 +106,10 @@ def welch_anova(sample: GroupedSample) -> TestResult:
     from the weight imbalance.  With two groups this reduces exactly to
     the squared Welch t statistic with Welch-Satterthwaite df.
     """
-    k = sample.k
-    sizes, means, variances = _nonzero_variances(sample)
-    weights = [n / v for n, v in zip(sizes, variances)]
-    weight_sum = sum(weights)
-    if np.isinf(weight_sum):
-        raise DegenerateDataError("group variances are so small that the Welch weights n/s^2 overflow")
-    grand = sum(w * m for w, m in zip(weights, means)) / weight_sum
-    imbalance = sum((1.0 - w / weight_sum) ** 2 / (n - 1) for w, n in zip(weights, sizes))
-    between = (w * (m - grand) ** 2 for w, m in zip(weights, means))
-    numerator = _finite_sum(between, "the weighted between-groups sum of squares") / (k - 1)
-    denominator = 1.0 + 2.0 * (k - 2) / (k**2 - 1.0) * imbalance
-    statistic = numerator / denominator
-    df1 = float(k - 1)
-    df2 = (k**2 - 1.0) / (3.0 * imbalance)
-    return TestResult(
-        method="welch",
-        statistic=statistic,
-        df1=df1,
-        df2=df2,
-        p_value=f_sf(statistic, df1, df2),
-    )
+    _require_group_size(sample, 2)
+    statistic, df1, df2 = _one_replicate(_welch, sample.values, sample.labels)
+    statistic, df2 = float(statistic), float(df2)
+    return TestResult("welch", statistic, df1, df2, f_sf(statistic, df1, df2))
 
 
 def adaptive_anova(sample: GroupedSample, config: AdaptiveConfig | None = None) -> AdaptiveResult:

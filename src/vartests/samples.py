@@ -19,18 +19,8 @@ import numpy as np
 from .errors import DegenerateDataError, ValidationError
 
 __all__ = [
-    "CENTERS",
-    "CenterKind",
-    "MEAN",
-    "MEDIAN",
-    "trimmed",
-    "as_center_kind",
-    "GroupedSample",
-    "DeviationSet",
-    "center",
-    "deviations",
-    "hines_hines_correct",
-    "obrien_scale",
+    "CENTERS", "CenterKind", "MEAN", "MEDIAN", "trimmed", "as_center_kind", "GroupedSample",
+    "DeviationSet", "center", "deviations", "hines_hines_correct", "obrien_scale",
     "expected_mean_deviation",
 ]
 
@@ -205,9 +195,7 @@ class DeviationSet(GroupedSample):
         object.__setattr__(self, "center_kind", as_center_kind(self.center_kind))
         centers = tuple(float(c) for c in self.centers)
         if len(centers) != len(self.groups):
-            raise ValidationError(
-                f"got {len(centers)} centers for {len(self.groups)} groups"
-            )
+            raise ValidationError(f"got {len(centers)} centers for {len(self.groups)} groups")
         object.__setattr__(self, "centers", centers)
         if self.df_adjustment < 0:
             raise ValidationError(f"df_adjustment must be >= 0, got {self.df_adjustment!r}")
@@ -220,33 +208,66 @@ class DeviationSet(GroupedSample):
         raise ValidationError("a DeviationSet is built by deviations(), not from columns")
 
 
-def center(values: Sequence[float], kind: Union[CenterKind, str]) -> float:
-    """Location estimate of ``values`` under the given center kind."""
-    kind = as_center_kind(kind)
+def _abs_deviations(values: np.ndarray, kind: CenterKind) -> tuple[np.ndarray, np.ndarray]:
+    """The centers of one group (1-D) or of a block of replicates (R, n), and the absolute deviations."""
+    if kind.name == "mean":
+        c = _mean(values)
+    elif kind.name == "median":  # without an axis, a lone group's median costs 3 us less
+        c = np.median(values, axis=-1) if values.ndim > 1 else np.median(values)
+    else:
+        n = values.shape[-1]
+        cut = int(math.floor(kind.trim_proportion * n))
+        c = _mean(np.sort(values, axis=-1)[..., cut : n - cut])
+    return c, np.abs(_minus(values, c))
+
+
+def _checked_deviations(values: Sequence[float], kind: CenterKind) -> tuple[np.ndarray, np.ndarray]:
+    """``center``'s checks on one group, then its center and absolute deviations."""
     arr = np.asarray(values, dtype=float).ravel()
     if arr.size == 0:
         raise ValidationError("cannot take the center of an empty group")
     if not np.isfinite(arr).all():
         raise ValidationError("cannot take the center of non-finite values")
-    if kind.name == "mean":
-        return float(arr.mean())
-    if kind.name == "median":
-        return float(np.median(arr))
-    cut = int(math.floor(kind.trim_proportion * arr.size))
-    kept = np.sort(arr)[cut : arr.size - cut]
-    return float(kept.mean())
+    return _abs_deviations(arr, kind)
+
+
+def center(values: Sequence[float], kind: Union[CenterKind, str]) -> float:
+    """Location estimate of ``values`` under the given center kind."""
+    return float(_checked_deviations(values, as_center_kind(kind))[0])
 
 
 def deviations(sample: GroupedSample, kind: Union[CenterKind, str]) -> DeviationSet:
     """Absolute deviations of every observation from its group's center."""
     kind = as_center_kind(kind)
-    out = []
-    centers = []
-    for label, arr in sample.groups:
-        c = center(arr, kind)
-        centers.append(c)
-        out.append((label, np.abs(arr - c)))
-    return DeviationSet(tuple(out), kind, tuple(centers))
+    centers, values = zip(*(_checked_deviations(arr, kind) for arr in sample.values))
+    return DeviationSet(tuple(zip(sample.labels, values)), kind, centers)
+
+
+def _hines_hines(groups: Sequence[np.ndarray], labels: Sequence[str], faults: list) -> list[np.ndarray]:
+    """The kernel of ``hines_hines_correct``: odd groups drop their first zero, even ones fold their smallest pair."""
+    corrected = []
+    for label, z in zip(labels, groups):
+        n = z.shape[-1]
+        zero = z == 0.0
+        _flag(faults, zero.all(axis=-1), DegenerateDataError, f"group {label!r} has no positive deviation from its median")
+        if n % 2 == 1:
+            message = f"group {label!r} has odd size but no zero deviation; "
+            _flag(faults, ~zero.any(axis=-1), ValidationError, message + "were these deviations taken from true group medians?")
+            drop = zero.argmax(axis=-1)
+            kept = z
+        else:
+            # A stable sort keeps the tied smallest pair in input order.
+            order = np.argsort(z, axis=-1, kind="stable")
+            drop = order[..., 1]
+            kept = z * np.where(np.arange(n) == order[..., :1], math.sqrt(2.0), 1.0)
+        keep = np.arange(n) != drop[..., None]
+        corrected.append(kept[keep].reshape(*z.shape[:-1], n - 1))
+    return corrected
+
+
+def _obrien(z: np.ndarray) -> np.ndarray:
+    """One group's deviations along the last axis, rescaled by 1 / sqrt(1 - 1/n)."""
+    return z / math.sqrt(1.0 - 1.0 / z.shape[-1])
 
 
 def hines_hines_correct(dev: DeviationSet) -> DeviationSet:
@@ -267,27 +288,8 @@ def hines_hines_correct(dev: DeviationSet) -> DeviationSet:
     if dev.df_adjustment != 0:
         raise ValidationError("deviation set is already corrected (df_adjustment != 0)")
     _require_group_size(dev, 2, "the Hines-Hines correction")
-    corrected = []
-    for label, z in dev.groups:
-        if np.all(z == 0.0):
-            raise DegenerateDataError(f"group {label!r} has no positive deviation from its median")
-        if z.size % 2 == 1:
-            zero_at = np.flatnonzero(z == 0.0)
-            if zero_at.size == 0:
-                raise ValidationError(
-                    f"group {label!r} has odd size but no zero deviation; "
-                    "were these deviations taken from true group medians?"
-                )
-            new = np.delete(z, zero_at[0])
-        else:
-            # Stable argsort keeps the tied smallest pair in input order.
-            order = np.argsort(z, kind="stable")
-            first, second = int(order[0]), int(order[1])
-            new = z.copy()
-            new[first] = math.sqrt(2.0) * z[first]
-            new = np.delete(new, second)
-        corrected.append((label, new))
-    return replace(dev, groups=tuple(corrected), df_adjustment=dev.df_adjustment + dev.k)
+    corrected = _one_replicate(_hines_hines, dev.values, dev.labels)
+    return replace(dev, groups=tuple(zip(dev.labels, corrected)), df_adjustment=dev.df_adjustment + dev.k)
 
 
 def obrien_scale(dev: DeviationSet) -> DeviationSet:
@@ -301,7 +303,7 @@ def obrien_scale(dev: DeviationSet) -> DeviationSet:
     if dev.scaled:
         raise ValidationError("deviation set is already scaled")
     _require_group_size(dev, 2, "rescaling")
-    scaled = tuple((label, z / math.sqrt(1.0 - 1.0 / z.size)) for label, z in dev.groups)
+    scaled = tuple((label, _obrien(z)) for label, z in dev.groups)
     return replace(dev, groups=scaled, scaled=True)
 
 
@@ -326,44 +328,83 @@ def _require_group_size(sample: GroupedSample, minimum: int, what: str = "this t
             raise ValidationError(f"group {label!r} has size {arr.size}; {what} needs at least {minimum}")
 
 
-def _finite_sum(terms: Iterable[float], what: str) -> float:
-    """``sum(terms)``, or ``ValidationError`` when a term or the total overflows."""
-    try:
-        total = sum(terms)
-    except OverflowError:  # a Python float square out of range
-        total = math.inf
-    if not math.isfinite(total):
-        raise ValidationError(f"{what} overflows a float: the values are too large (keep them within 1e150)")
+# Kernels.  Each statistic is one kernel over groups that are 1-D (one
+# replicate: the library call) or (R, n_i) blocks (R replicates: a
+# simulator chunk); it loops only over the groups and sums across them
+# left to right.  Squares are ``d * d``: a scalar's ``** 2`` calls libm
+# ``pow``, which can miss the last bit.  A kernel does not raise on data:
+# it appends ``(rows, error)`` to ``faults`` for each check the rows (a
+# bool or a mask over the replicates) fail, in the order checked.
+
+
+def _flag(faults: list, rows, error: type[Exception], message: str) -> None:
+    """Record that ``rows`` fail a check, if any does."""
+    if rows.any() if isinstance(rows, np.ndarray) else rows:
+        faults.append((rows, error(message)))
+
+
+def _one_replicate(kernel, *args):
+    """``kernel`` on the groups of one replicate: its result, or the error of the first check failed."""
+    faults: list = []
+    with np.errstate(all="ignore"):  # a failed check can leave inf or nan behind
+        result = kernel(*args, faults)
+    if faults:
+        raise faults[0][1]
+    return result
+
+
+def _square(x):
+    return x * x
+
+
+def _mean(arr: np.ndarray):
+    """The mean along the last axis, with the bits of ``arr.mean()`` at less cost."""
+    return arr.sum(axis=-1) / arr.shape[-1]
+
+
+def _minus(arr: np.ndarray, per_row):
+    """``arr`` less one value per row: broadcast over the last axis of a group or a block."""
+    return (arr.T - per_row).T
+
+
+def _checked_sum(faults: list, terms: Iterable, what: str):
+    """``sum(terms)``; rows where the total overflows a float are flagged."""
+    total = sum(terms)
+    overflow = ~np.isfinite(total) if isinstance(total, np.ndarray) else not math.isfinite(total)
+    _flag(faults, overflow, ValidationError, f"{what} overflows a float: the values are too large (keep them within 1e150)")
     return total
 
 
-def _group_moments(sample: GroupedSample) -> tuple[tuple[int, ...], list[float], list[float]]:
-    """Each group's size, mean, and sum of squared deviations from that mean.
-
-    Every one-way statistic takes these from here.  ``ValidationError``
-    if the sums of squares overflow, alone or added up.
-    """
-    values = sample.values
-    means = [float(arr.mean()) for arr in values]
-    sums_sq = [float(np.sum((arr - m) ** 2)) for arr, m in zip(values, means)]
-    _finite_sum(sums_sq, "the sum of squares")
-    return sample.sizes, means, sums_sq
+def _magnitude(groups: Sequence[np.ndarray]):
+    """The largest absolute value over all groups, per row."""
+    joined = np.concatenate(groups, axis=-1)
+    return np.abs(joined, out=joined).max(axis=-1)
 
 
-def _nonzero_variances(sample: GroupedSample) -> tuple[tuple[int, ...], list[float], list[float]]:
-    """Sizes, means and sample variances; ``DegenerateDataError`` if a variance is zero."""
-    _require_group_size(sample, 2)
-    sizes, means, sums_sq = _group_moments(sample)
-    variances = [ss / (n - 1) for n, ss in zip(sizes, sums_sq)]
-    for (label, arr), n, v in zip(sample.groups, sizes, variances):
-        if _sum_sq_is_zero(v * (n - 1), float(np.abs(arr).max()), n):
-            raise DegenerateDataError(f"group {label!r} has zero sample variance")
-    return sizes, means, variances
+def _group_moments(groups: Sequence[np.ndarray], faults: list) -> tuple[list, list, object]:
+    """Each group's mean and sum of squared deviations, and their total; every one-way statistic's start."""
+    means, sums_sq = [], []
+    for arr in groups:
+        m = _mean(arr)
+        d = _minus(arr, m)
+        means.append(m)
+        sums_sq.append(np.square(d, out=d).sum(axis=-1))  # d * d, in place
+    return means, sums_sq, _checked_sum(faults, sums_sq, "the sum of squares")
 
 
-def _sum_sq_is_zero(ss: float, scale: float, count: int) -> bool:
+def _nonzero_variances(groups: Sequence[np.ndarray], labels: Sequence[str], faults: list) -> tuple[list, list]:
+    """Means and sample variances; rows where a group's variance is zero are flagged."""
+    means, sums_sq, _ = _group_moments(groups, faults)
+    variances = [ss / (arr.shape[-1] - 1) for arr, ss in zip(groups, sums_sq)]
+    for label, arr, v in zip(labels, groups, variances):
+        zero = _sum_sq_is_zero(v * (arr.shape[-1] - 1), np.abs(arr).max(axis=-1), arr.shape[-1])
+        _flag(faults, zero, DegenerateDataError, f"group {label!r} has zero sample variance")
+    return means, variances
+
+
+def _sum_sq_is_zero(ss, scale, count: int):
     # A sum of squares of `count` values with magnitudes ~`scale` that is
     # this small can only be floating-point residue.  Past a scale of about
-    # 1e166 the bound is inf, not an OverflowError: any finite sum is residue.
+    # 1e166 the bound is inf: any finite sum is residue.
     bound = _REL_ZERO * scale
     return ss <= count * (bound * bound)

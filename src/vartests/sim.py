@@ -1,11 +1,11 @@
 """Monte Carlo harness for size and power studies of the package's tests.
 
 Every replicate draws its groups from a dedicated counter-based random
-stream keyed by ``(master_seed, replicate_index)``, so a scenario's
-results are bit-identical no matter how replicates are chunked across
-worker processes.  Degenerate replicates (tests raising
-``DegenerateDataError``) are tallied per test, never silently folded
-into the rejection counts.
+stream keyed by ``(master_seed, replicate_index)``.  Replicates run in
+chunks, each test's kernel once per chunk, and a scenario's results are
+bit-identical however replicates are chunked across worker processes.
+Degenerate replicates are tallied per test, never silently folded into
+the rejection counts.
 """
 
 from __future__ import annotations
@@ -21,26 +21,15 @@ from typing import Callable, Sequence, Union
 import numpy as np
 
 from .errors import DegenerateDataError, ValidationError
-from .means import AdaptiveConfig, PreliminaryLevelWarning, adaptive_anova, anova_f, welch_anova
-from .numerics import (
-    CHI_SQUARED,
-    STUDENT_T,
-    DistributionSpec,
-    RngStream,
-    derive_seed,
-)
+from .means import AdaptiveConfig, PreliminaryLevelWarning, _welch, adaptive_anova, anova_f, welch_anova
+from .numerics import CHI_SQUARED, STUDENT_T, DistributionSpec, RngStream, chi_sq_sf, derive_seed, f_sf
 from .numerics import draw as _draw
-from .samples import CenterKind, GroupedSample, as_center_kind
-from .spread import as_correction, bartlett_m, box_anderson_b3, levene_test
-from .trend import as_side, trend_test
+from .samples import CenterKind, GroupedSample, _abs_deviations, _hines_hines, _obrien, as_center_kind
+from .spread import _bartlett, _box_anderson, _one_way_f, as_correction, bartlett_m, box_anderson_b3, levene_test
+from .trend import ScoreSet, _side_p_values, _trend_slope, as_side, trend_test
 
 __all__ = [
-    "Scenario",
-    "CellResult",
-    "SimulationReport",
-    "compile_test_label",
-    "run_grid",
-    "table1_grid",
+    "Scenario", "CellResult", "SimulationReport", "compile_test_label", "run_grid", "table1_grid",
     "power_ordering_grid",
 ]
 
@@ -66,11 +55,84 @@ def _base_distribution(token: str) -> DistributionSpec:
     return DistributionSpec(head, shape=df)
 
 
+class _Chunk:
+    """Replicates as ``(R, n_i)`` blocks; a non-finite row is degenerate, and deviations are shared."""
+
+    def __init__(self, blocks: list[np.ndarray]) -> None:
+        self.blocks = blocks
+        self.labels = tuple(f"g{i + 1}" for i in range(len(blocks)))
+        # e.g. a t variate whose chi-squared draw underflowed to 0 at a tiny df
+        self.degenerate = ~np.logical_and.reduce([np.isfinite(block).all(axis=1) for block in blocks])
+        for block in blocks:
+            block[self.degenerate] = 0.0  # never scored; zeros keep the kernels quiet
+        self._deviations: dict[CenterKind, list[np.ndarray]] = {}
+
+    def deviations(self, kind: CenterKind) -> list[np.ndarray]:
+        if kind not in self._deviations:
+            self._deviations[kind] = [_abs_deviations(block, kind)[1] for block in self.blocks]
+        return self._deviations[kind]
+
+
+def _draw_chunk(scenario: "Scenario", start: int, stop: int) -> _Chunk:
+    """Replicates ``start``..``stop - 1``, each drawn from its own ``RngStream(master_seed, rep)`` as if alone."""
+    base = _base_distribution(scenario.distribution)
+    blocks = [np.empty((stop - start, size)) for size in scenario.group_sizes]
+    for row, rep in enumerate(range(start, stop)):
+        rng = RngStream(scenario.master_seed, rep).generator()
+        for block in blocks:
+            block[row] = _draw(base, block.shape[1], rng)
+    for block, shift, ratio in zip(blocks, scenario.mean_shifts, scenario.sigma_ratios):
+        block *= ratio
+        block += shift
+    return _Chunk(blocks)
+
+
+def _f_rows(kernel, chunk: _Chunk):
+    # A chunk runner: the chunk's faults (see ``samples``) and the p-value of a row without one.
+    faults: list = []
+    statistic, df1, df2 = kernel(chunk.blocks, chunk.labels, faults)
+    df2 = np.broadcast_to(df2, statistic.shape)
+    return faults, lambda row: f_sf(statistic[row], df1, df2[row])
+
+
+def _chi_sq_rows(kernel, chunk: _Chunk):
+    faults: list = []
+    statistic = kernel(chunk.blocks, chunk.labels, faults)[0]
+    return faults, lambda row: chi_sq_sf(statistic[row], len(chunk.blocks) - 1)
+
+
+def _levene_rows(chunk: _Chunk, kind: CenterKind, correction: str):
+    z, faults = chunk.deviations(kind), []
+    if correction == "hines-hines":
+        z = _hines_hines(z, chunk.labels, faults)
+    elif correction == "obrien":
+        z = [_obrien(block) for block in z]
+    statistic, df1, df2 = _one_way_f(z, chunk.labels, faults)
+    return faults, lambda row: f_sf(statistic[row], df1, df2)
+
+
+def _trend_rows(chunk: _Chunk, kind: CenterKind, side: str):
+    faults: list = []
+    z = _trend_slope(chunk.deviations(kind), ScoreSet.linear(len(chunk.blocks)).w, faults)[2]
+    return faults, lambda row: _side_p_values(float(z[row]))[side]
+
+
+def _adaptive_rows(chunk: _Chunk, config: AdaptiveConfig):
+    # Each row takes Welch's test if its preliminary Levene test rejects, else the classic F.
+    faults, preliminary = _levene_rows(chunk, config.preliminary_center, "none")
+    welch = _outcomes(chunk, faults, preliminary)[0] < config.preliminary_level
+    welch_faults, welch_p = _f_rows(_welch, chunk)
+    classic_faults, classic_p = _f_rows(_one_way_f, chunk)
+    faults += [(rows & welch, e) for rows, e in welch_faults] + [(rows & ~welch, e) for rows, e in classic_faults]
+    return faults, lambda row: welch_p(row) if welch[row] else classic_p(row)
+
+
+# Each plain test's p-value on one sample, and its chunk runner.
 _PLAIN_TESTS = {
-    "anova": lambda s: anova_f(s).p_value,
-    "welch": lambda s: welch_anova(s).p_value,
-    "bartlett": lambda s: bartlett_m(s).p_value,
-    "box-anderson": lambda s: box_anderson_b3(s).p_value,
+    "anova": (lambda s: anova_f(s).p_value, lambda c: _f_rows(_one_way_f, c)),
+    "welch": (lambda s: welch_anova(s).p_value, lambda c: _f_rows(_welch, c)),
+    "bartlett": (lambda s: bartlett_m(s).p_value, lambda c: _chi_sq_rows(_bartlett, c)),
+    "box-anderson": (lambda s: box_anderson_b3(s).p_value, lambda c: _chi_sq_rows(_box_anderson, c)),
 }
 
 # The tests that take ``:CENTER[:OPTION]``, with their default option.
@@ -90,13 +152,18 @@ def compile_test_label(label: str) -> tuple[str, Callable[[GroupedSample], float
     The canonical form always spells the defaults out, so e.g.
     ``levene`` canonicalizes to ``levene:median:none``.
     """
+    return _compile(label)[:2]
+
+
+def _compile(label: str) -> tuple[str, Callable[[GroupedSample], float], Callable]:
+    """``compile_test_label``'s pair, and the label's chunk runner."""
     if not isinstance(label, str) or not label.strip():
         raise ValidationError(f"test label must be a non-empty string, got {label!r}")
     name, *args = (piece.strip() for piece in label.strip().split(":"))
     if name in _PLAIN_TESTS:
         if args:
             raise ValidationError(f"test {name!r} does not take parameters, got {label!r}")
-        return name, _PLAIN_TESTS[name]
+        return (name, *_PLAIN_TESTS[name])
     if name not in _OPTION_DEFAULTS:
         raise ValidationError(f"unknown test {name!r} in label {label!r}")
     if len(args) > 2:
@@ -105,24 +172,27 @@ def compile_test_label(label: str) -> tuple[str, Callable[[GroupedSample], float
     # An empty option is an error, not the default.
     option = args[1] if len(args) > 1 else _OPTION_DEFAULTS[name]
     if name == "levene":
-        correction = as_correction(option)
-        return f"levene:{kind.name}:{correction}", lambda s: levene_test(s, kind, correction).p_value
+        corr = as_correction(option)
+        scalar = lambda s: levene_test(s, kind, corr).p_value
+        return f"levene:{kind.name}:{corr}", scalar, lambda c: _levene_rows(c, kind, corr)
     if name == "trend":
         side = as_side(option)
-        return f"trend:{kind.name}:{side}", lambda s: trend_test(s, None, kind).p_value(side)
+        scalar = lambda s: trend_test(s, None, kind).p_value(side)
+        return f"trend:{kind.name}:{side}", scalar, lambda c: _trend_rows(c, kind, side)
     try:
         level = float(option)
     except ValueError:
         raise ValidationError(f"bad level in test label {label!r}") from None
     config = AdaptiveConfig(preliminary_level=level, preliminary_center=kind)
-    return f"adaptive:{kind.name}:{level!r}", lambda s: adaptive_anova(s, config).final.p_value
+    scalar = lambda s: adaptive_anova(s, config).final.p_value
+    return f"adaptive:{kind.name}:{level!r}", scalar, lambda c: _adaptive_rows(c, config)
 
 
 def _compile_quietly(labels: Sequence[str]):
     # The label's own compile already warned once at scenario construction.
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", PreliminaryLevelWarning)
-        return [compile_test_label(label)[1] for label in labels]
+        return [_compile(label) for label in labels]
 
 
 @dataclass(frozen=True)
@@ -239,68 +309,52 @@ class SimulationReport:
         return {(c.scenario.name, c.test): c.rejection_rate for c in self.cells}
 
 
-def _replicate_sample(scenario: Scenario, base: DistributionSpec, rep: int) -> GroupedSample:
-    rng = RngStream(scenario.master_seed, rep).generator()
-    groups = []
-    for index, size in enumerate(scenario.group_sizes):
-        errors = _draw(base, size, rng)
-        values = scenario.mean_shifts[index] + scenario.sigma_ratios[index] * errors
-        if not np.isfinite(values).all():
-            # e.g. a t variate whose chi-squared draw underflowed to 0 at a tiny df
-            raise DegenerateDataError(f"replicate {rep} drew non-finite values in group 'g{index + 1}'")
-        groups.append((f"g{index + 1}", values))
-    return GroupedSample(tuple(groups))
+def _outcomes(chunk: _Chunk, faults: list, p_value) -> tuple[np.ndarray, np.ndarray, np.ndarray, str | None]:
+    """Each row's p-value (NaN if degenerate), its degenerate and too-large flags, and the first row's message.
 
-
-def _p_value(
-    scenario: Scenario, test: str, runner: Callable[[GroupedSample], float], sample: GroupedSample
-) -> float | None:
-    """The test's p-value on ``sample``, or None if the sample is degenerate for it.
-
-    A ``ValidationError`` is re-raised naming the scenario and the test.
+    A row is too large when its first failed check is a ``ValidationError``; the message is that error's text.
     """
-    try:
-        return runner(sample)
-    except DegenerateDataError:
-        return None
-    except ValidationError as exc:
-        raise ValidationError(f"scenario {scenario.name!r}: test {test!r}: {exc}") from None
+    bad = chunk.degenerate.copy()
+    too_large = np.zeros_like(bad)
+    message = None
+    for rows, error in faults:
+        if isinstance(error, ValidationError):
+            first = np.broadcast_to(rows & ~bad, bad.shape)
+            too_large |= first
+            message = message or (str(error) if first[0] else None)
+        bad |= rows
+    p_values = np.array([math.nan if b else p_value(row) for row, b in enumerate(bad)])
+    return p_values, bad, too_large, message
 
 
-def _run_span(scenario: Scenario, start: int, stop: int) -> tuple[list[int], list[int]]:
-    runners = _compile_quietly(scenario.tests)
-    base = _base_distribution(scenario.distribution)
-    rejections = [0] * len(runners)
-    errors = [0] * len(runners)
+def _run_span(scenario: Scenario, start: int, stop: int) -> list[tuple[int, int, int, str | None]]:
+    """``(rejections, degenerate, too_large, message)`` per test over replicates ``start``..``stop - 1``."""
     # Extreme draws overflow or divide by zero; the replicate is counted, not announced.
     with np.errstate(all="ignore"):
-        for rep in range(start, stop):
+        chunk = _draw_chunk(scenario, start, stop)
+        tallies = []
+        for test, (_, _, runner) in zip(scenario.tests, _compile_quietly(scenario.tests)):
             try:
-                sample = _replicate_sample(scenario, base, rep)
-            except DegenerateDataError:  # degenerate for every test
-                errors = [count + 1 for count in errors]
-                continue
-            for slot, (test, runner) in enumerate(zip(scenario.tests, runners)):
-                p = _p_value(scenario, test, runner, sample)
-                if p is None:
-                    errors[slot] += 1
-                elif p < scenario.nominal_level:
-                    rejections[slot] += 1
-    return rejections, errors
+                p_values, bad, too_large, message = _outcomes(chunk, *runner(chunk))
+            except ValidationError as exc:
+                raise ValidationError(f"scenario {scenario.name!r}: test {test!r}: {exc}") from None
+            rejections = int(np.count_nonzero(p_values < scenario.nominal_level))
+            tallies.append((rejections, int(bad.sum()), int(too_large.sum()), message))
+    return tallies
 
 
 def _dry_run(scenario: Scenario) -> None:
     # Surface configuration errors (e.g. groups too small for a test)
     # before spending replicates; degenerate draws are the tests' business.
-    runners = _compile_quietly(scenario.tests)
-    probe = GroupedSample(
-        tuple(
-            (f"g{i + 1}", 0.25 + 0.5 * np.arange(size, dtype=float) ** 1.5)
-            for i, size in enumerate(scenario.group_sizes)
-        )
-    )
-    for test, runner in zip(scenario.tests, runners):
-        _p_value(scenario, test, runner, probe)
+    groups = ((f"g{i + 1}", 0.25 + 0.5 * np.arange(n, dtype=float) ** 1.5) for i, n in enumerate(scenario.group_sizes))
+    probe = GroupedSample(tuple(groups))
+    for test, (_, runner, _) in zip(scenario.tests, _compile_quietly(scenario.tests)):
+        try:
+            runner(probe)
+        except DegenerateDataError:
+            pass
+        except ValidationError as exc:
+            raise ValidationError(f"scenario {scenario.name!r}: test {test!r}: {exc}") from None
 
 
 def _pool_size(scenarios: Sequence[Scenario], workers: int) -> int:
@@ -335,14 +389,11 @@ def run_grid(scenarios: Sequence[Scenario], workers: int = 1) -> SimulationRepor
             stops = [min(lo + _CHUNK, scenario.replications) for lo in starts]
             partials = list(mapper(_run_span, [scenario] * len(starts), starts, stops))
             for slot, test in enumerate(scenario.tests):
-                cells.append(
-                    CellResult(
-                        scenario=scenario,
-                        test=test,
-                        rejections=sum(part[0][slot] for part in partials),
-                        error_count=sum(part[1][slot] for part in partials),
-                    )
-                )
+                tallies = [part[slot] for part in partials]
+                rejections, errors, too_large = (sum(tally[i] for tally in tallies) for i in range(3))
+                if too_large == scenario.replications:  # then the cell, not a replicate, is at fault
+                    raise ValidationError(f"scenario {scenario.name!r}: test {test!r}: {tallies[0][3]}")
+                cells.append(CellResult(scenario=scenario, test=test, rejections=rejections, error_count=errors))
     finally:
         if pool is not None:
             pool.shutdown()

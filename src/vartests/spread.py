@@ -9,24 +9,19 @@ alternative and its kurtosis-robust adjustment.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
-from typing import Mapping, Union
+from typing import Mapping, Sequence, Union
 
 import numpy as np
 
 from .errors import DegenerateDataError, KurtosisError, ValidationError
 from .numerics import chi_sq_sf, f_sf
 from .samples import CenterKind, DeviationSet, GroupedSample, as_center_kind, deviations, hines_hines_correct, obrien_scale
-from .samples import _finite_sum, _group_moments, _nonzero_variances, _require_group_size, _sum_sq_is_zero
+from .samples import _checked_sum, _flag, _group_moments, _magnitude, _minus, _nonzero_variances, _one_replicate
+from .samples import _require_group_size, _square, _sum_sq_is_zero
 
 __all__ = [
-    "TestResult",
-    "CORRECTIONS",
-    "as_correction",
-    "levene_test",
-    "bartlett_m",
-    "kurtosis_estimate",
+    "TestResult", "CORRECTIONS", "as_correction", "levene_test", "bartlett_m", "kurtosis_estimate",
     "box_anderson_b3",
 ]
 
@@ -79,24 +74,25 @@ def _analyzed_deviations(sample: GroupedSample, kind: CenterKind, correction: st
     return dev
 
 
-def _one_way_f(sample: GroupedSample, scale: float) -> tuple[float, float, float]:
-    """One-way fixed-effects F over the groups, whose largest magnitude is ``scale``: (F, df1, df2)."""
-    k = sample.k
-    sizes, means, sums_sq = _group_moments(sample)
+def _check_correction(kind: CenterKind, correction: str) -> None:
+    """The Levene test's rule on combining a center with a correction."""
+    if correction == "hines-hines" and kind.name != "median":
+        raise ValidationError("the Hines-Hines correction applies to median centers only")
+
+
+def _one_way_f(groups: Sequence[np.ndarray], labels: Sequence[str], faults: list) -> tuple[object, float, float]:
+    """One-way fixed-effects F over the groups (the kernel of ``anova_f`` and ``levene_test``): (F, df1, df2)."""
+    k = len(groups)
+    sizes = [arr.shape[-1] for arr in groups]
+    means, _, within = _group_moments(groups, faults)
     total = sum(sizes)
-    if total <= k:
-        raise DegenerateDataError(
-            f"need more observations than groups to estimate within-group spread (N={total}, k={k})"
-        )
+    message = f"need more observations than groups to estimate within-group spread (N={total}, k={k})"
+    _flag(faults, total <= k, DegenerateDataError, message)
     grand = sum(n * m for n, m in zip(sizes, means)) / total
-    squares = (n * (m - grand) ** 2 for n, m in zip(sizes, means))
-    between = _finite_sum(squares, "the between-groups sum of squares")
-    within = sum(sums_sq)
-    if _sum_sq_is_zero(within, scale, total):
-        raise DegenerateDataError(
-            f"no within-group spread in any group (groups {', '.join(repr(l) for l in sample.labels)}): "
-            "the F statistic is 0/0"
-        )
+    squares = (n * _square(m - grand) for n, m in zip(sizes, means))
+    between = _checked_sum(faults, squares, "the between-groups sum of squares")
+    message = f"no within-group spread in any group (groups {', '.join(map(repr, labels))}): the F statistic is 0/0"
+    _flag(faults, _sum_sq_is_zero(within, _magnitude(groups), total), DegenerateDataError, message)
     df1 = float(k - 1)
     df2 = float(total - k)
     return (df2 / df1) * (between / within), df1, df2
@@ -118,19 +114,55 @@ def levene_test(
     kind = as_center_kind(center)
     corr = as_correction(correction)
     _require_group_size(sample, 3 if corr == "hines-hines" else 2)
-    if corr == "hines-hines" and kind.name != "median":
-        raise ValidationError("the Hines-Hines correction applies to median centers only")
+    _check_correction(kind, corr)
     dev = _analyzed_deviations(sample, kind, corr)
-    statistic, df1, df2 = _one_way_f(dev, max(float(z.max()) for z in dev.values))
-    return TestResult(
-        method="levene",
-        statistic=statistic,
-        df1=df1,
-        df2=df2,
-        p_value=f_sf(statistic, df1, df2),
-        center=kind,
-        correction=corr,
-    )
+    statistic, df1, df2 = _one_replicate(_one_way_f, dev.values, dev.labels)
+    statistic = float(statistic)
+    return TestResult("levene", statistic, df1, df2, f_sf(statistic, df1, df2), center=kind, correction=corr)
+
+
+def _bartlett(groups: Sequence[np.ndarray], labels: Sequence[str], faults: list) -> tuple[object, object, float]:
+    """Bartlett's corrected statistic M/C, the uncorrected M and the correction factor C."""
+    k = len(groups)
+    sizes = [arr.shape[-1] for arr in groups]
+    _, variances = _nonzero_variances(groups, labels, faults)
+    total = sum(sizes)
+    within = _checked_sum(faults, ((n - 1) * v for n, v in zip(sizes, variances)), "the pooled sum of squares")
+    pooled = within / (total - k)
+    m_raw = (total - k) * np.log(pooled) - sum((n - 1) * np.log(v) for n, v in zip(sizes, variances))
+    m_raw = np.maximum(m_raw, 0.0)  # clamp fp residue when variances are identical
+    c_factor = 1.0 + (sum(1.0 / (n - 1) for n in sizes) - 1.0 / (total - k)) / (3.0 * (k - 1))
+    return m_raw / c_factor, m_raw, c_factor
+
+
+def _kurtosis(groups: Sequence[np.ndarray], faults: list):
+    """Pooled kurtosis of the groups (see ``kurtosis_estimate``)."""
+    # Fourth powers of values far from 1 could overflow or underflow.  The
+    # ratio is scale-free, so rows whose largest magnitude is past 2**200
+    # either way are scaled by a power of two, which is exact.
+    exponent = np.frexp(_magnitude(groups))[1]
+    shift = np.where(np.abs(exponent) > 200, -exponent, 0)[..., None]
+    groups = [np.ldexp(arr, shift) for arr in groups]
+    total = sum(arr.shape[-1] for arr in groups)
+    means, _, sum_sq = _group_moments(groups, faults)
+    # Cancellation noise in the deviations is proportional to the raw magnitudes.
+    zero = _sum_sq_is_zero(sum_sq, _magnitude(groups), total)
+    _flag(faults, zero, DegenerateDataError, "kurtosis is undefined: every observation equals its group mean")
+    # An array's ** 4 is one numpy power, alike for one replicate and for a block.
+    sum_quad = sum((_minus(arr, m) ** 4).sum(axis=-1) for arr, m in zip(groups, means))
+    return total * sum_quad / _square(sum_sq)
+
+
+def _box_anderson(groups: Sequence[np.ndarray], labels: Sequence[str], faults: list) -> tuple:
+    """The Box-Anderson statistic with its Bartlett pieces and the kurtosis: (B3, M/C, M, C, kurtosis)."""
+    bartlett, m_raw, c_factor = _bartlett(groups, labels, faults)
+    kurt = _kurtosis(groups, faults)
+    low = kurt <= 1.0
+    if low.any():  # the message quotes the first flagged row's estimate
+        estimate = float(np.asarray(kurt)[low][0])
+        message = f"pooled kurtosis estimate {estimate!r} <= 1: the Box-Anderson factor 2/(kurtosis - 1) is undefined"
+        _flag(faults, low, KurtosisError, message)
+    return bartlett * 2.0 / (kurt - 1.0), bartlett, m_raw, c_factor, kurt
 
 
 def bartlett_m(sample: GroupedSample) -> TestResult:
@@ -142,23 +174,11 @@ def bartlett_m(sample: GroupedSample) -> TestResult:
     mapping carries the uncorrected ``m_raw`` and the Bartlett
     correction factor ``c_factor``.
     """
-    k = sample.k
-    sizes, _, variances = _nonzero_variances(sample)
-    total = sum(sizes)
-    within = _finite_sum(((n - 1) * v for n, v in zip(sizes, variances)), "the pooled sum of squares")
-    pooled = within / (total - k)
-    m_raw = (total - k) * np.log(pooled) - sum((n - 1) * np.log(v) for n, v in zip(sizes, variances))
-    m_raw = max(float(m_raw), 0.0)  # clamp fp residue when variances are identical
-    c_factor = 1.0 + (sum(1.0 / (n - 1) for n in sizes) - 1.0 / (total - k)) / (3.0 * (k - 1))
-    statistic = m_raw / c_factor
-    return TestResult(
-        method="bartlett",
-        statistic=statistic,
-        df1=float(k - 1),
-        df2=None,
-        p_value=chi_sq_sf(statistic, k - 1),
-        details={"m_raw": m_raw, "c_factor": c_factor},
-    )
+    _require_group_size(sample, 2)
+    statistic, m_raw, c_factor = _one_replicate(_bartlett, sample.values, sample.labels)
+    statistic = float(statistic)
+    details = {"m_raw": float(m_raw), "c_factor": c_factor}
+    return TestResult("bartlett", statistic, float(sample.k - 1), None, chi_sq_sf(statistic, sample.k - 1), details=details)
 
 
 def kurtosis_estimate(sample: GroupedSample) -> float:
@@ -166,20 +186,7 @@ def kurtosis_estimate(sample: GroupedSample) -> float:
 
     Not excess kurtosis -- normal data give values near 3.
     """
-    # Cancellation noise in the deviations is proportional to the raw magnitudes.
-    scale = max(float(np.abs(arr).max()) for arr in sample.values)
-    exponent = math.frexp(scale)[1]
-    if abs(exponent) > 200:
-        # Fourth powers could overflow or underflow.  The ratio is
-        # scale-free, and scaling by a power of two is exact.
-        scaled = tuple((label, np.ldexp(arr, -exponent)) for label, arr in sample.groups)
-        return kurtosis_estimate(GroupedSample(scaled))
-    _, means, sums_sq = _group_moments(sample)
-    sum_sq = sum(sums_sq)
-    if _sum_sq_is_zero(sum_sq, scale, sample.total):
-        raise DegenerateDataError("kurtosis is undefined: every observation equals its group mean")
-    sum_quad = sum(float(np.sum((arr - m) ** 4)) for arr, m in zip(sample.values, means))
-    return sample.total * sum_quad / sum_sq**2
+    return float(_one_replicate(_kurtosis, sample.values))
 
 
 def box_anderson_b3(sample: GroupedSample) -> TestResult:
@@ -191,23 +198,8 @@ def box_anderson_b3(sample: GroupedSample) -> TestResult:
     estimate to exceed 1; values at or below 1 raise ``KurtosisError``.
     The details mapping carries the Bartlett pieces and the kurtosis.
     """
-    bartlett = bartlett_m(sample)
-    kurt = kurtosis_estimate(sample)
-    if kurt <= 1.0:
-        raise KurtosisError(
-            f"pooled kurtosis estimate {kurt!r} <= 1: the Box-Anderson factor 2/(kurtosis - 1) is undefined"
-        )
-    statistic = bartlett.statistic * 2.0 / (kurt - 1.0)
-    return TestResult(
-        method="box-anderson",
-        statistic=statistic,
-        df1=bartlett.df1,
-        df2=None,
-        p_value=chi_sq_sf(statistic, bartlett.df1),
-        details={
-            "bartlett_statistic": bartlett.statistic,
-            "m_raw": bartlett.details["m_raw"],
-            "c_factor": bartlett.details["c_factor"],
-            "kurtosis": kurt,
-        },
-    )
+    _require_group_size(sample, 2)
+    statistic, bartlett, m_raw, c_factor, kurt = _one_replicate(_box_anderson, sample.values, sample.labels)
+    statistic, df1 = float(statistic), float(sample.k - 1)
+    details = {"bartlett_statistic": float(bartlett), "m_raw": float(m_raw), "c_factor": c_factor, "kurtosis": float(kurt)}
+    return TestResult("box-anderson", statistic, df1, None, chi_sq_sf(statistic, df1), details=details)

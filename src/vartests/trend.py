@@ -15,10 +15,13 @@ import sys
 from dataclasses import dataclass
 from typing import Sequence, Union
 
+import numpy as np
+
 from .errors import DegenerateDataError, ValidationError
 from .numerics import std_normal_sf
 from .samples import CenterKind, GroupedSample, as_center_kind, deviations
-from .samples import _finite_sum, _group_moments, _require_group_size, _sum_sq_is_zero
+from .samples import _checked_sum, _flag, _group_moments, _magnitude, _one_replicate, _require_group_size, _square
+from .samples import _sum_sq_is_zero
 
 __all__ = ["SIDES", "as_side", "ScoreSet", "TrendResult", "trend_test"]
 
@@ -97,25 +100,36 @@ class TrendResult:
         }[as_side(side)]
 
 
-def _weighted_slope(
-    sizes: Sequence[int], scores: Sequence[float], dev_means: Sequence[float]
-) -> tuple[float, float]:
-    """Size-weighted regression slope of group deviation means on scores.
+def _trend_slope(groups: Sequence[np.ndarray], scores: Sequence[float], faults: list) -> tuple:
+    """The trend test's slope, its standard error and their ratio z, over deviation groups.
 
-    Returns ``(beta_hat, denom)`` with ``denom = sum n_i (w_i - wbar)^2``.
-    The intercept term uses the unweighted mean of the group deviation
-    means; because the weighted score deviations sum to zero, any
-    constant would do, and this one keeps the slope an explicit contrast
-    in the group means.
+    The slope regresses the group deviation means on the scores with size
+    weights, over ``denom = sum n_i (w_i - wbar)^2``.  The intercept term
+    uses the unweighted mean of the group deviation means; because the
+    weighted score deviations sum to zero, any constant would do, and this
+    one keeps the slope an explicit contrast in the group means.
     """
+    sizes = [z.shape[-1] for z in groups]
+    dev_means, _, within = _group_moments(groups, faults)
     total = sum(sizes)
     wbar = sum(n * w for n, w in zip(sizes, scores)) / total
-    denom = _finite_sum((n * (w - wbar) ** 2 for n, w in zip(sizes, scores)), "the scores' sum of squares")
-    if denom < sys.float_info.min:
-        raise ValidationError(f"scores {tuple(scores)!r} are too close together: their sum of squares underflows")
+    denom = _checked_sum(faults, (n * _square(w - wbar) for n, w in zip(sizes, scores)), "the scores' sum of squares")
+    message = f"scores {tuple(scores)!r} are too close together: their sum of squares underflows"
+    _flag(faults, denom < sys.float_info.min, ValidationError, message)
     grand = sum(dev_means) / len(dev_means)
     contrast = (n * (w - wbar) * (m - grand) for n, w, m in zip(sizes, scores, dev_means))
-    return _finite_sum(contrast, "the trend contrast") / denom, denom
+    beta = _checked_sum(faults, contrast, "the trend contrast") / denom
+    std_error = np.sqrt(within / (total - len(groups)) / denom)
+    zero = (std_error == 0.0) | _sum_sq_is_zero(within, _magnitude(groups), total)
+    _flag(faults, zero, DegenerateDataError, "no within-group deviation spread: the slope's standard error is zero")
+    return beta, std_error, beta / std_error
+
+
+def _side_p_values(z: float) -> dict[str, float]:
+    """The p-value of the standardized slope ``z`` against each alternative in ``SIDES``."""
+    increasing = std_normal_sf(z)
+    decreasing = std_normal_sf(-z)
+    return dict(zip(SIDES, (increasing, decreasing, min(1.0, 2.0 * min(increasing, decreasing)))))
 
 
 def trend_test(
@@ -135,27 +149,6 @@ def trend_test(
     w = _as_scores(scores, sample.k)
     _require_group_size(sample, 2)
     dev = deviations(sample, kind)
-    sizes, dev_means, sums_sq = _group_moments(dev)
-    total = sum(sizes)
-    beta, denom = _weighted_slope(sizes, w.w, dev_means)
-    within = sum(sums_sq)
-    pooled_var = within / (total - sample.k)
-    std_error = math.sqrt(pooled_var / denom)
-    if std_error == 0.0 or _sum_sq_is_zero(within, max(float(z.max()) for z in dev.values), total):
-        raise DegenerateDataError(
-            "no within-group deviation spread: the slope's standard error is zero"
-        )
-    z_statistic = beta / std_error
-    p_increasing = std_normal_sf(z_statistic)
-    p_decreasing = std_normal_sf(-z_statistic)
-    p_two_sided = min(1.0, 2.0 * min(p_increasing, p_decreasing))
-    return TrendResult(
-        beta_hat=beta,
-        std_error=std_error,
-        z_statistic=z_statistic,
-        p_increasing=p_increasing,
-        p_decreasing=p_decreasing,
-        p_two_sided=p_two_sided,
-        center=kind,
-        scores=w.w,
-    )
+    beta, std_error, z_statistic = _one_replicate(_trend_slope, dev.values, w.w)
+    p = _side_p_values(float(z_statistic))  # in the order of SIDES
+    return TrendResult(float(beta), float(std_error), float(z_statistic), *p.values(), center=kind, scores=w.w)

@@ -1,0 +1,175 @@
+"""The simulator's chunk path is the scalar API run on many replicates at once.
+
+Every statistic is one kernel over a batch of replicates.  The library
+calls it on one replicate; ``simulate`` calls it on each chunk.  These
+tests check that the two give the same bits, that the chunk size
+changes no cell, and that seeded tallies stay what they were.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import vartests.sim as sim
+from vartests import (
+    DegenerateDataError,
+    GroupedSample,
+    Scenario,
+    ValidationError,
+    derive_seed,
+    power_ordering_grid,
+    run_grid,
+    table1_grid,
+)
+from vartests.samples import CENTERS
+from vartests.spread import CORRECTIONS
+from vartests.trend import SIDES
+
+# Every label the registry compiles, with two adaptive levels.
+LABELS = (
+    "anova",
+    "welch",
+    "bartlett",
+    "box-anderson",
+    *(f"levene:{c}:{r}" for c in CENTERS for r in CORRECTIONS if r != "hines-hines" or c == "median"),
+    *(f"trend:{c}:{side}" for c in CENTERS for side in SIDES),
+    *(f"adaptive:{c}:{level}" for c in CENTERS for level in ("0.15", "0.25")),
+)
+
+# How a row of the stacked blocks is made.  Besides plain data: ties
+# (integer values), a constant group, every group of the form c +- a (a
+# pooled kurtosis of exactly 1 when every group has even size), a
+# non-finite value, and values near 1e200 whose squares overflow.
+ROW_KINDS = ("plain", "ties", "constant", "two-point", "non-finite", "huge")
+
+
+def _row(kind, sizes, rng):
+    groups = [rng.normal(rng.uniform(-5, 5), rng.uniform(0.1, 3), size=n) for n in sizes]
+    if kind == "ties":
+        groups = [np.round(g) for g in groups]
+    elif kind == "constant":
+        groups[int(rng.integers(len(sizes)))][:] = 2.5
+    elif kind == "two-point":
+        groups = [rng.normal() + np.where(np.arange(n) % 2 == 1, 1.0, -1.0) for n in sizes]
+    elif kind == "non-finite":
+        groups[-1][0] = rng.choice([np.nan, np.inf])
+    elif kind == "huge":
+        groups = [1e200 * g for g in groups]
+    return groups
+
+
+def _scalar_outcome(runner, groups):
+    """A p-value, or the kind of failure, from the library's call on one replicate."""
+    if not all(np.isfinite(g).all() for g in groups):
+        return "degenerate"
+    try:
+        return runner(GroupedSample(tuple((f"g{i + 1}", g) for i, g in enumerate(groups))))
+    except DegenerateDataError:
+        return "degenerate"
+    except ValidationError:
+        return "too large"
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(
+    sizes=st.lists(st.integers(2, 9), min_size=2, max_size=4),
+    kinds=st.lists(st.sampled_from(ROW_KINDS), min_size=1, max_size=6),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_a_chunk_gives_the_bits_of_one_call_per_replicate(sizes, kinds, seed):
+    rng = np.random.default_rng(seed)
+    rows = [_row(kind, sizes, rng) for kind in kinds]
+    for label in LABELS:
+        if label.endswith("hines-hines") and min(sizes) < 3:
+            continue  # a configuration error, which the dry run reports before any replicate
+        _, scalar, runner = sim._compile(label)
+        with np.errstate(all="ignore"):  # as in the simulator
+            chunk = sim._Chunk([np.array([row[g] for row in rows]) for g in range(len(sizes))])
+            p_values, bad, too_large, _ = sim._outcomes(chunk, *runner(chunk))
+        batched = ["too large" if big else "degenerate" if b else p for p, b, big in zip(p_values, bad, too_large)]
+        expected = [_scalar_outcome(scalar, row) for row in rows]
+        assert batched == expected, f"{label} on rows {kinds}"
+
+
+@pytest.fixture(scope="module")
+def chunked_scenarios():
+    return (
+        Scenario("t3", "student-t:3", (8, 12, 16), (1.0, 1.5, 2.0), None, LABELS[:14], 0.05, 40, 11),
+        Scenario("exp", "exponential", (2, 3, 5), (1.0, 1.0, 3.0), (0.0, 1.0, 0.0), LABELS[14:], 0.05, 40, 12),
+    )
+
+
+@pytest.mark.parametrize("chunk", [1, 7, 512])
+def test_the_chunk_size_changes_no_cell(monkeypatch, chunked_scenarios, chunk):
+    reference = [(c.rejections, c.error_count) for c in run_grid(chunked_scenarios).cells]
+    monkeypatch.setattr(sim, "_CHUNK", chunk)
+    assert [(c.rejections, c.error_count) for c in run_grid(chunked_scenarios).cells] == reference
+
+
+# Rejections per cell, in run_grid order, of seeded grids at 300
+# replicates.  They were recorded when each replicate still ran through
+# the scalar API; no cell had a degenerate replicate.
+_SPREAD_TESTS = (
+    "levene:mean",
+    "levene:median",
+    "levene:trimmed",
+    "levene:median:hines-hines",
+    "levene:median:obrien",
+    "bartlett",
+    "box-anderson",
+    "trend:median:increasing",
+)
+_SPREAD_CELLS = (
+    ("t3-unequal", "student-t:3", (8, 12, 16, 20), (1.0, 1.5, 2.0, 2.5)),
+    ("chi3-null", "chi-squared:3", (5, 5, 5, 5, 5), (1.0,) * 5),
+    ("exp-one-wide", "exponential", (40, 40, 40), (1.0, 1.0, 1.5)),
+)
+_GOLDEN = {
+    "table1": [15, 15, 15, 15, 19, 19, 20, 16, 16, 14, 16, 15, 9, 12, 12, 9, 19, 19, 16, 19, 18, 26, 20, 21, 27, 12,
+               12, 15, 15, 16, 35, 13, 15, 36, 16, 17],
+    "power-mean": [15, 16, 14, 14, 185, 262, 298, 300, 280, 297, 300, 300, 27, 25, 21, 20, 143, 224, 256, 287, 208,
+                   260, 292, 298, 46, 34, 40, 30, 199, 244, 284, 295, 253, 285, 300, 300, 66, 38, 63, 29, 175, 226,
+                   282, 289, 255, 283, 298, 300],
+    "power-median": [9, 10, 10, 8, 144, 248, 296, 300, 245, 293, 300, 300, 9, 14, 16, 15, 93, 199, 243, 283, 160,
+                     245, 290, 299, 16, 13, 15, 16, 110, 214, 266, 292, 169, 269, 297, 299, 13, 18, 14, 19, 84, 178,
+                     236, 283, 151, 251, 292, 298],
+    "power-trimmed": [11, 13, 13, 11, 167, 257, 298, 300, 259, 296, 300, 300, 17, 16, 18, 15, 109, 208, 248, 284,
+                      168, 252, 290, 299, 23, 17, 19, 16, 141, 224, 270, 294, 197, 275, 297, 299, 32, 23, 18, 22,
+                      114, 191, 247, 285, 177, 259, 292, 298],
+    "spread": [78, 54, 60, 48, 49, 233, 63, 193, 65, 5, 30, 15, 5, 70, 24, 8, 177, 111, 127, 111, 111, 223, 90, 147],
+}
+
+
+def _golden_grid(name):
+    if name == "table1":
+        return table1_grid(5, 300)
+    if name == "spread":
+        return tuple(
+            Scenario(label, distribution, sizes, ratios, None, _SPREAD_TESTS, 0.05, 300, derive_seed(5, index))
+            for index, (label, distribution, sizes, ratios) in enumerate(_SPREAD_CELLS)
+        )
+    return power_ordering_grid(name.removeprefix("power-"), 5, 300)
+
+
+@pytest.mark.parametrize("grid", sorted(_GOLDEN))
+def test_seeded_tallies_are_unchanged(grid):
+    cells = run_grid(_golden_grid(grid), workers=1).cells
+    assert [(c.rejections, c.error_count) for c in cells] == [(r, 0) for r in _GOLDEN[grid]]
+
+
+def test_a_cell_too_large_in_every_replicate_stops_the_run():
+    scenario = Scenario("bad", "normal", (5, 5), (1.0, 1e200), None, ("anova", "levene"), 0.05, 30, 3)
+    with pytest.raises(ValidationError, match="^scenario 'bad': test 'anova': the sum of squares overflows"):
+        run_grid((scenario,))
+
+
+def test_too_large_is_judged_over_the_whole_cell(monkeypatch):
+    # At df 0.02 some replicates draw finite values too large to square.
+    # In chunks of one replicate such a chunk is too large throughout,
+    # yet the cell is not.
+    monkeypatch.setattr(sim, "_CHUNK", 1)
+    tests = ("levene", "anova", "bartlett", "trend")
+    scenario = Scenario("heavy", "student-t:0.02", (5, 5, 5), (1.0,) * 3, None, tests, 0.05, 200, derive_seed(2, 0))
+    cells = run_grid((scenario,)).cells
+    assert all(0 < cell.error_count < 200 for cell in cells)

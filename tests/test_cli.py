@@ -188,6 +188,8 @@ class TestFlagChecks:
                 (["trend", "--scores", "1,x"], "bad --scores '1,x'"),
                 (["trend", "--group-order", " , "], "--group-order lists no labels"),
                 (["anova", "--method", "welch", "--prelim-level", "0.2"], "--prelim-level/--prelim-center only apply"),
+                (["test", "--center", "mean", "--correction", "hines-hines"], "the Hines-Hines correction applies"),
+                (["anova", "--prelim-center", "trimmed", "--trim-proportion", "0.7"], "trim proportion must lie in"),
             ]
         ],
     )
@@ -433,6 +435,24 @@ class TestSimulateFaults:
             proc = run_cli("simulate", "--grid", str(grid), "--seed", "1", "--workers", workers, "--out", str(out))
             assert proc.returncode == 0, proc.stderr
             assert proc.stderr == ""
+            outs.append(out.read_bytes())
+        assert outs[0] == outs[1]
+        rows = outs[0].decode().splitlines()[1:]
+        assert len(rows) == 4 and all(int(row.split(",")[-1]) > 0 for row in rows)
+
+    @pytest.mark.parametrize("seed", ["2", "3"])
+    def test_a_finite_draw_too_large_to_square_is_a_degenerate_replicate(self, tmp_path, seed):
+        # At df 0.02 a t draw can be finite yet beyond 1e154, so its square overflows.
+        grid = tmp_path / "g.txt"
+        grid.write_text(
+            "scenario = heavy\ndistribution = student-t:0.02\ngroup_sizes = 5, 5, 5\n"
+            "sigma_ratios = 1, 1, 1\ntests = levene, anova, bartlett, trend\nreplications = 200\n"
+        )
+        outs = []
+        for workers in ("1", "2"):
+            out = tmp_path / f"w{workers}.csv"
+            proc = run_cli("simulate", "--grid", str(grid), "--seed", seed, "--workers", workers, "--out", str(out))
+            assert proc.returncode == 0, proc.stderr
             outs.append(out.read_bytes())
         assert outs[0] == outs[1]
         rows = outs[0].decode().splitlines()[1:]

@@ -13,7 +13,7 @@ from vartests import (
     std_normal_sf,
     trend_test,
 )
-from vartests.trend import _weighted_slope
+from vartests.trend import _trend_slope
 
 
 def make_sample(*arrays):
@@ -61,9 +61,10 @@ class TestHandOracle:
         # within-group deviation variance is exactly zero.  The slope
         # itself is fine (here exactly 1), but the test is degenerate.
         s = make_sample([0, 2], [0, 4], [0, 6])
-        sizes, scores = (2, 2, 2), (1.0, 2.0, 3.0)
-        dev_means = [1.0, 2.0, 3.0]  # |x - mean| is half the gap in each group
-        beta, _ = _weighted_slope(sizes, scores, dev_means)
+        scores = (1.0, 2.0, 3.0)
+        deviations = [np.array([1.0, 1.0]), np.array([2.0, 2.0]), np.array([3.0, 3.0])]  # half the gap in each group
+        with np.errstate(all="ignore"):  # the standard error is 0
+            beta = _trend_slope(deviations, scores, [])[0]
         assert beta == pytest.approx(1.0, abs=1e-12)
         with pytest.raises(DegenerateDataError):
             trend_test(s, scores=scores, center="mean")
