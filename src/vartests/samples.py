@@ -265,9 +265,15 @@ def _hines_hines(groups: Sequence[np.ndarray], labels: Sequence[str], faults: li
     return corrected
 
 
-def _obrien(z: np.ndarray) -> np.ndarray:
-    """One group's deviations along the last axis, rescaled by 1 / sqrt(1 - 1/n)."""
-    return z / math.sqrt(1.0 - 1.0 / z.shape[-1])
+def _obrien(groups: Sequence[np.ndarray], labels: Sequence[str], faults: list) -> list[np.ndarray]:
+    """The kernel of ``obrien_scale``: deviations rescaled by 1 / sqrt(1 - 1/n); rows that overflow are flagged."""
+    scaled = []
+    for label, z in zip(labels, groups):
+        s = z / math.sqrt(1.0 - 1.0 / z.shape[-1])
+        message = f"the rescaled deviations of group {label!r} overflow a float: the values are too large"
+        _flag(faults, ~np.isfinite(s).all(axis=-1), ValidationError, message + " (keep them within 1e150)")
+        scaled.append(s)
+    return scaled
 
 
 def hines_hines_correct(dev: DeviationSet) -> DeviationSet:
@@ -303,8 +309,8 @@ def obrien_scale(dev: DeviationSet) -> DeviationSet:
     if dev.scaled:
         raise ValidationError("deviation set is already scaled")
     _require_group_size(dev, 2, "rescaling")
-    scaled = tuple((label, _obrien(z)) for label, z in dev.groups)
-    return replace(dev, groups=scaled, scaled=True)
+    scaled = _one_replicate(_obrien, dev.values, dev.labels)
+    return replace(dev, groups=tuple(zip(dev.labels, scaled)), scaled=True)
 
 
 def expected_mean_deviation(sigma: float, n: int) -> float:

@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import DegenerateDataError, ValidationError
 from .means import AdaptiveConfig, PreliminaryLevelWarning, _welch, adaptive_anova, anova_f, welch_anova
-from .numerics import CHI_SQUARED, STUDENT_T, DistributionSpec, RngStream, chi_sq_sf, derive_seed, f_sf
+from .numerics import CHI_SQUARED, STUDENT_T, DistributionSpec, _stream_generators, chi_sq_sf, derive_seed, f_sf
 from .numerics import draw as _draw
 from .samples import CenterKind, GroupedSample, _abs_deviations, _hines_hines, _obrien, as_center_kind
 from .spread import _bartlett, _box_anderson, _one_way_f, as_correction, bartlett_m, box_anderson_b3, levene_test
@@ -77,8 +77,7 @@ def _draw_chunk(scenario: "Scenario", start: int, stop: int) -> _Chunk:
     """Replicates ``start``..``stop - 1``, each drawn from its own ``RngStream(master_seed, rep)`` as if alone."""
     base = _base_distribution(scenario.distribution)
     blocks = [np.empty((stop - start, size)) for size in scenario.group_sizes]
-    for row, rep in enumerate(range(start, stop)):
-        rng = RngStream(scenario.master_seed, rep).generator()
+    for row, rng in enumerate(_stream_generators(scenario.master_seed, range(start, stop))):
         for block in blocks:
             block[row] = _draw(base, block.shape[1], rng)
     for block, shift, ratio in zip(blocks, scenario.mean_shifts, scenario.sigma_ratios):
@@ -88,17 +87,18 @@ def _draw_chunk(scenario: "Scenario", start: int, stop: int) -> _Chunk:
 
 
 def _f_rows(kernel, chunk: _Chunk):
-    # A chunk runner: the chunk's faults (see ``samples``) and the p-value of a row without one.
+    # A chunk runner: the chunk's faults (see ``samples``), and the p-values
+    # of the rows a mask picks out, all without a fault, in one tail call.
     faults: list = []
     statistic, df1, df2 = kernel(chunk.blocks, chunk.labels, faults)
     df2 = np.broadcast_to(df2, statistic.shape)
-    return faults, lambda row: f_sf(statistic[row], df1, df2[row])
+    return faults, lambda rows: f_sf(statistic[rows], df1, df2[rows])
 
 
 def _chi_sq_rows(kernel, chunk: _Chunk):
     faults: list = []
     statistic = kernel(chunk.blocks, chunk.labels, faults)[0]
-    return faults, lambda row: chi_sq_sf(statistic[row], len(chunk.blocks) - 1)
+    return faults, lambda rows: chi_sq_sf(statistic[rows], len(chunk.blocks) - 1)
 
 
 def _levene_rows(chunk: _Chunk, kind: CenterKind, correction: str):
@@ -106,15 +106,15 @@ def _levene_rows(chunk: _Chunk, kind: CenterKind, correction: str):
     if correction == "hines-hines":
         z = _hines_hines(z, chunk.labels, faults)
     elif correction == "obrien":
-        z = [_obrien(block) for block in z]
+        z = _obrien(z, chunk.labels, faults)
     statistic, df1, df2 = _one_way_f(z, chunk.labels, faults)
-    return faults, lambda row: f_sf(statistic[row], df1, df2)
+    return faults, lambda rows: f_sf(statistic[rows], df1, df2)
 
 
 def _trend_rows(chunk: _Chunk, kind: CenterKind, side: str):
     faults: list = []
     z = _trend_slope(chunk.deviations(kind), ScoreSet.linear(len(chunk.blocks)).w, faults)[2]
-    return faults, lambda row: _side_p_values(float(z[row]))[side]
+    return faults, lambda rows: _side_p_values(z[rows])[side]
 
 
 def _adaptive_rows(chunk: _Chunk, config: AdaptiveConfig):
@@ -124,7 +124,14 @@ def _adaptive_rows(chunk: _Chunk, config: AdaptiveConfig):
     welch_faults, welch_p = _f_rows(_welch, chunk)
     classic_faults, classic_p = _f_rows(_one_way_f, chunk)
     faults += [(rows & welch, e) for rows, e in welch_faults] + [(rows & ~welch, e) for rows, e in classic_faults]
-    return faults, lambda row: welch_p(row) if welch[row] else classic_p(row)
+
+    def p_values(rows: np.ndarray) -> np.ndarray:
+        p = np.empty(np.count_nonzero(rows))
+        p[welch[rows]] = welch_p(rows & welch)
+        p[~welch[rows]] = classic_p(rows & ~welch)
+        return p
+
+    return faults, p_values
 
 
 # Each plain test's p-value on one sample, and its chunk runner.
@@ -312,6 +319,7 @@ class SimulationReport:
 def _outcomes(chunk: _Chunk, faults: list, p_value) -> tuple[np.ndarray, np.ndarray, np.ndarray, str | None]:
     """Each row's p-value (NaN if degenerate), its degenerate and too-large flags, and the first row's message.
 
+    ``p_value(rows)`` gives the p-values of the rows a mask picks out, in one call over the rows without a fault.
     A row is too large when its first failed check is a ``ValidationError``; the message is that error's text.
     """
     bad = chunk.degenerate.copy()
@@ -323,7 +331,8 @@ def _outcomes(chunk: _Chunk, faults: list, p_value) -> tuple[np.ndarray, np.ndar
             too_large |= first
             message = message or (str(error) if first[0] else None)
         bad |= rows
-    p_values = np.array([math.nan if b else p_value(row) for row, b in enumerate(bad)])
+    p_values = np.full(bad.shape, math.nan)
+    p_values[~bad] = p_value(~bad)
     return p_values, bad, too_large, message
 
 

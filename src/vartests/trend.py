@@ -125,11 +125,11 @@ def _trend_slope(groups: Sequence[np.ndarray], scores: Sequence[float], faults: 
     return beta, std_error, beta / std_error
 
 
-def _side_p_values(z: float) -> dict[str, float]:
-    """The p-value of the standardized slope ``z`` against each alternative in ``SIDES``."""
+def _side_p_values(z):
+    """The p-values of the standardized slopes ``z`` (a float or an array) against each alternative in ``SIDES``."""
     increasing = std_normal_sf(z)
     decreasing = std_normal_sf(-z)
-    return dict(zip(SIDES, (increasing, decreasing, min(1.0, 2.0 * min(increasing, decreasing)))))
+    return dict(zip(SIDES, (increasing, decreasing, np.minimum(1.0, 2.0 * np.minimum(increasing, decreasing)))))
 
 
 def trend_test(
@@ -150,5 +150,5 @@ def trend_test(
     _require_group_size(sample, 2)
     dev = deviations(sample, kind)
     beta, std_error, z_statistic = _one_replicate(_trend_slope, dev.values, w.w)
-    p = _side_p_values(float(z_statistic))  # in the order of SIDES
-    return TrendResult(float(beta), float(std_error), float(z_statistic), *p.values(), center=kind, scores=w.w)
+    p = map(float, _side_p_values(float(z_statistic)).values())  # in the order of SIDES
+    return TrendResult(float(beta), float(std_error), float(z_statistic), *p, center=kind, scores=w.w)

@@ -18,6 +18,7 @@ from vartests import (
     reg_inc_gamma_lower,
     std_normal_sf,
 )
+from vartests.numerics import _stream_generators
 
 
 class TestLnGamma:
@@ -271,6 +272,20 @@ class TestRngStream:
             t.join()
         for got in results:
             assert np.array_equal(got, reference)
+
+    @pytest.mark.parametrize("spec", [DistributionSpec("normal"), DistributionSpec("exponential"),
+                                      DistributionSpec("student-t", 3.0), DistributionSpec("student-t", 0.02),
+                                      DistributionSpec("chi-squared", 3.0)], ids=str)
+    @pytest.mark.parametrize("start", [0, 5, 517])
+    def test_a_rekeyed_generator_draws_as_each_stream_would(self, spec, start):
+        # The simulator draws a chunk from one generator re-keyed per replicate,
+        # several groups each; Student-t interleaves normal and gamma draws.
+        seed = derive_seed(7, start)
+        streams = range(start, start + 9)
+        rekeyed = [[draw(spec, n, rng) for n in (3, 8, 5)] for rng in _stream_generators(seed, streams)]
+        alone = [[draw(spec, n, rng) for n in (3, 8, 5)] for rng in (RngStream(seed, s).generator() for s in streams)]
+        for got, want in zip(rekeyed, alone):
+            assert all(np.array_equal(g, w, equal_nan=True) for g, w in zip(got, want))
 
     def test_key_validation(self):
         with pytest.raises(ValidationError):

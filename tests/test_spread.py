@@ -1,6 +1,7 @@
 """Spread tests against hand-worked oracles, scipy, and their invariants."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -150,6 +151,16 @@ class TestLeveneInvariance:
         plain = levene_test(make_sample(*arrays), "median")
         scaled = levene_test(make_sample(*arrays), "median", "obrien")
         assert scaled.statistic != pytest.approx(plain.statistic, abs=1e-9)
+
+    def test_obrien_overflow_is_too_large_and_quiet(self):
+        # Finite deviations near the float maximum overflow when rescaled.
+        sample = make_sample([0.0, 1.7e308, -1.7e308], [1.0, 2.0, 3.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(ValidationError, match="group 'g1' overflow a float: the values are too large"):
+                levene_test(sample, "median", "obrien")
+            with pytest.raises(ValidationError, match="too large"):
+                obrien_scale(deviations(sample, "median"))
 
 
 class TestLeveneHinesHines:
