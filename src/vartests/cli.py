@@ -70,16 +70,16 @@ def _read_dataset(path: str, group_order: Sequence[str] | None = None) -> Groupe
         raise ValidationError(f"cannot read dataset {path!r}: {exc}") from None
     try:
         with handle:
-            labels, values = _read_columns(handle, path)
+            labels, codes, values = _read_columns(handle, path)
     except UnicodeDecodeError as exc:
         raise ValidationError(f"dataset {path!r} is not UTF-8 text ({exc.reason})") from None
     if not labels:
         raise ValidationError(f"dataset {path!r} has no data rows")
-    return GroupedSample.from_columns(labels, values, group_order)
+    return GroupedSample._from_codes(labels, codes, values, group_order)
 
 
-def _read_columns(handle: TextIO, path: str) -> tuple[list[str], np.ndarray]:
-    """The stripped labels and the values of an open dataset file.
+def _read_columns(handle: TextIO, path: str) -> tuple[list[str], np.ndarray, np.ndarray]:
+    """The labels, each row's group code and the values of an open dataset file.
 
     The file is read in blocks of about ``_BLOCK_CHARS`` characters that
     end at a line break.  A block of plain lines (no quote, no stray
@@ -98,33 +98,46 @@ def _read_columns(handle: TextIO, path: str) -> tuple[list[str], np.ndarray]:
     group_at = len(header) - 1 - header[::-1].index("group")
     value_at = len(header) - 1 - header[::-1].index("value")
     lines_read = header_reader.line_num
-    labels: list[str] = []
-    chunks: list[np.ndarray] = []
-    canonical: dict[str, str] = {}
+    codes: dict[str, int] = {}
+    labels: dict[str, int] = {}
+    blocks = [(np.empty(0, np.uint32), np.empty(0))]
     while True:
         text = handle.read(_BLOCK_CHARS)
         if not text:
             break
         text += handle.readline()
-        parsed = _parse_plain_block(text, len(header), group_at, value_at)
+        parsed = _parse_plain_block(text, len(header), group_at, value_at, codes, labels)
         if parsed is None:
             rows = itertools.chain(io.StringIO(text, newline=""), handle)
             block_labels, block_values = _read_rows(rows, path, lines_read, group_at, value_at)
-            labels.extend(block_labels)
-            chunks.append(np.array(block_values, dtype=float))
+            blocks.append((_code_labels(block_labels, codes, labels), np.array(block_values, dtype=float)))
             break
-        block_labels, block_values = parsed
-        # Labels repeat: keep one string object per distinct label.
-        labels.extend(map(canonical.setdefault, block_labels, block_labels))
-        chunks.append(block_values)
+        blocks.append(parsed)
         lines_read += text.count("\n")
-    return labels, np.concatenate(chunks) if chunks else np.empty(0)
+    return list(labels), *(np.concatenate(column) for column in zip(*blocks))
+
+
+def _code_labels(cells: Sequence[str], codes: dict[str, int], labels: dict[str, int]) -> np.ndarray | None:
+    """Each cell's group code, or None if a label is empty.
+
+    ``codes`` maps the cells seen so far, padded or not, and ``labels`` the
+    stripped labels, to their codes in order of first appearance.
+    """
+    try:  # most blocks hold no new cell
+        return np.fromiter(map(codes.__getitem__, cells), dtype=np.uint32, count=len(cells))
+    except KeyError:
+        for cell in dict.fromkeys(cells):
+            label = cell.strip()
+            if not label:
+                return None
+            codes[cell] = labels.setdefault(label, len(labels))
+    return _code_labels(cells, codes, labels)
 
 
 def _parse_plain_block(
-    text: str, width: int, group_at: int, value_at: int
-) -> tuple[list[str], np.ndarray] | None:
-    """Split a block of plain CSV lines into columns, or None if it is not plain."""
+    text: str, width: int, group_at: int, value_at: int, codes: dict[str, int], labels: dict[str, int]
+) -> tuple[np.ndarray, np.ndarray] | None:
+    """A block of plain CSV lines as group codes (see ``_code_labels``) and values, or None if it is not plain."""
     if '"' in text:
         return None
     if "\r" in text:
@@ -147,16 +160,14 @@ def _parse_plain_block(
     if np.diff(separator_at, prepend=-1, append=raw.size).max() - 1 > csv.field_size_limit():
         return None
     cells = text.replace("\n", ",").split(",")
-    labels = list(map(str.strip, cells[group_at::width]))
-    if not all(labels):
-        return None
     try:
         values = np.array(cells[value_at::width], dtype=np.float64)
     except ValueError:
         return None
     if not np.isfinite(values).all():
         return None
-    return labels, values
+    block_codes = _code_labels(cells[group_at::width], codes, labels)
+    return None if block_codes is None else (block_codes, values)
 
 
 def _read_rows(

@@ -94,10 +94,10 @@ def _lgamma(values: np.ndarray) -> np.ndarray:
 def _iterations(s: np.ndarray) -> np.ndarray:
     # Near the mean the series and the continued fractions need O(sqrt(s))
     # terms for a large parameter s, so a fixed cap fails from s of a few
-    # thousand.  The budget is 400 + 10 sqrt(s) per element, kept as a float
-    # so that no s overflows it; all of it scales with _MAX_ITER, so a cap
-    # of 0 makes every expansion fail.
-    return _MAX_ITER + np.floor(_MAX_ITER / 40.0 * np.sqrt(s))
+    # thousand.  The budget is 400 + 10 sqrt(s) per element up to s = 1e8
+    # (100,400 steps), so that a huge s fails in bounded time; all of it
+    # scales with _MAX_ITER, so a cap of 0 makes every expansion fail.
+    return _MAX_ITER + np.floor(_MAX_ITER / 40.0 * np.sqrt(np.minimum(s, 1e8)))
 
 
 def _clamp(d):

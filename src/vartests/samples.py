@@ -134,24 +134,24 @@ class GroupedSample:
             raise ValidationError(
                 f"labels and values must have equal length, got {len(labels)} and {len(values)}"
             )
-        present = dict.fromkeys(labels)  # dict preserves first-appearance order
-        if group_order is not None:
-            order = list(group_order)
-            if sorted(order) != sorted(present):
-                raise ValidationError(
-                    f"group order {order!r} does not match the labels present {sorted(present)!r}"
-                )
-        else:
-            order = list(present)
-        # Factorise the labels, then one stable sort gathers each group's
-        # values contiguously without reordering them.  The narrowest code
-        # type lets numpy use its radix sort for up to 65,536 groups.
-        position = {label: code for code, label in enumerate(order)}
-        code_type = np.min_scalar_type(max(len(order) - 1, 0))
+        position = {label: code for code, label in enumerate(dict.fromkeys(labels))}  # in first-appearance order
+        code_type = np.min_scalar_type(max(len(position) - 1, 0))
         codes = np.fromiter(map(position.__getitem__, labels), dtype=code_type, count=len(labels))
+        return cls._from_codes(list(position), codes, values, group_order)
+
+    @classmethod
+    def _from_codes(cls, present: list[str], codes: np.ndarray, values, group_order=None) -> "GroupedSample":
+        """The sample in which ``values[i]`` belongs to group ``present[codes[i]]``; see ``from_columns``."""
+        order = present if group_order is None else list(group_order)
+        if order is not present and sorted(order) != sorted(present):
+            raise ValidationError(f"group order {order!r} does not match the labels present {sorted(present)!r}")
+        # One stable sort gathers each group's values contiguously and in order;
+        # the narrowest code type lets numpy radix-sort up to 65,536 groups.
+        codes = codes.astype(np.min_scalar_type(max(len(present) - 1, 0)), copy=False)
         gathered = np.asarray(values, dtype=float)[np.argsort(codes, kind="stable")]
-        edges = [0, *np.cumsum(np.bincount(codes, minlength=len(order))).tolist()]
-        return cls(tuple((label, gathered[lo:hi]) for label, lo, hi in zip(order, edges, edges[1:])))
+        edges = [0, *np.cumsum(np.bincount(codes, minlength=len(present))).tolist()]
+        groups = dict(zip(present, (gathered[lo:hi] for lo, hi in zip(edges, edges[1:]))))
+        return cls(tuple((label, groups[label]) for label in order))
 
     @property
     def k(self) -> int:
@@ -239,7 +239,8 @@ def center(values: Sequence[float], kind: Union[CenterKind, str]) -> float:
 def deviations(sample: GroupedSample, kind: Union[CenterKind, str]) -> DeviationSet:
     """Absolute deviations of every observation from its group's center."""
     kind = as_center_kind(kind)
-    centers, values = zip(*(_checked_deviations(arr, kind) for arr in sample.values))
+    with np.errstate(over="ignore"):  # an infinite center fails DeviationSet's check for finite values
+        centers, values = zip(*(_checked_deviations(arr, kind) for arr in sample.values))
     return DeviationSet(tuple(zip(sample.labels, values)), kind, centers)
 
 
@@ -256,10 +257,12 @@ def _hines_hines(groups: Sequence[np.ndarray], labels: Sequence[str], faults: li
             drop = zero.argmax(axis=-1)
             kept = z
         else:
-            # A stable sort keeps the tied smallest pair in input order.
-            order = np.argsort(z, axis=-1, kind="stable")
-            drop = order[..., 1]
-            kept = z * np.where(np.arange(n) == order[..., :1], math.sqrt(2.0), 1.0)
+            # The pair a stable sort ranks first: the first minimum, then the first minimum of the rest.
+            head = z.argmin(axis=-1)
+            first = np.arange(n) == head[..., None]
+            after = z[~first].reshape(*z.shape[:-1], n - 1).argmin(axis=-1)
+            drop = after + (after >= head)
+            kept = z * np.where(first, math.sqrt(2.0), 1.0)
         keep = np.arange(n) != drop[..., None]
         corrected.append(kept[keep].reshape(*z.shape[:-1], n - 1))
     return corrected

@@ -14,7 +14,6 @@ import math
 import os
 import time
 import warnings
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable, Sequence, Union
 
@@ -390,6 +389,8 @@ def run_grid(scenarios: Sequence[Scenario], workers: int = 1) -> SimulationRepor
     started = time.perf_counter()
     cells: list[CellResult] = []
     pool_size = _pool_size(scenarios, workers)
+    if pool_size > 1:  # imported here: multiprocessing adds about 30 ms to every CLI start
+        from concurrent.futures import ProcessPoolExecutor
     pool = ProcessPoolExecutor(max_workers=pool_size) if pool_size > 1 else None
     mapper = map if pool is None else pool.map
     try:

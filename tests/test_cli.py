@@ -507,6 +507,12 @@ class TestExitContract:
         assert err.startswith("error: ") and "too large" in err
 
 
+def test_importing_the_cli_starts_no_process_machinery():
+    # simulate imports the process pool only when it starts one.
+    code = "import sys, vartests.cli; print(sorted({'multiprocessing', 'concurrent.futures'} & set(sys.modules)))"
+    assert subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True).stdout == "[]\n"
+
+
 class TestOptionRegistry:
     """Each option name is defined once, by the module that owns it."""
 

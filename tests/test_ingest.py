@@ -132,8 +132,17 @@ def test_errors_cite_the_physical_line(tmp_path, name, message):
     assert outcome[0] == "error" and message in outcome[2]
 
 
+def _padded_label(i):
+    # Blocks of 1000 characters hold 46-51 of these lines: labels are padded
+    # on the left in the first two blocks and on the right from the third
+    # on, and one label first appears in block 98 of 114.
+    if i == 4321:
+        return "late"
+    return f" g{i % 7}" if i < 100 else f"g{i % 7} "
+
+
 def test_plain_files_never_take_the_row_loop(tmp_path, monkeypatch):
-    lines = ["group,value"] + [f" g{i % 7} ,{(i * 0.37) ** 3!r}" for i in range(5000)]
+    lines = ["group,value"] + [f"{_padded_label(i)},{(i * 0.37) ** 3!r}" for i in range(5000)]
     path = _write(tmp_path, "plain.csv", "\r\n".join(lines) + "\r\n")
     monkeypatch.setattr(cli, "_BLOCK_CHARS", 1000)
 
@@ -142,8 +151,9 @@ def test_plain_files_never_take_the_row_loop(tmp_path, monkeypatch):
 
     monkeypatch.setattr(cli, "_read_rows", no_row_loop)
     sample = cli._read_dataset(path)
-    assert sample.labels == tuple(f"g{i}" for i in range(7))
+    assert sample.labels == (*(f"g{i}" for i in range(7)), "late")
     assert sample.total == 5000
+    assert [(label, arr.tolist()) for label, arr in sample.groups] == _dictreader_groups(path)
 
 
 def test_only_the_rest_of_the_file_takes_the_row_loop(tmp_path, monkeypatch):

@@ -17,6 +17,7 @@ from vartests import (
     expected_mean_deviation,
     hines_hines_correct,
     obrien_scale,
+    samples,
     trimmed,
 )
 
@@ -210,6 +211,31 @@ class TestHinesHines:
         dev = deviations(make_sample([5, 5, 5], [1, 2, 4]), "median")
         with pytest.raises(DegenerateDataError):
             hines_hines_correct(dev)
+
+    @staticmethod
+    def _stable_sort_fold(z):
+        """The even-size fold as a stable sort defines it: the first two ranks are the pair."""
+        n = z.shape[-1]
+        order = np.argsort(z, axis=-1, kind="stable")
+        kept = z * np.where(np.arange(n) == order[..., :1], SQRT2, 1.0)
+        return kept[np.arange(n) != order[..., 1:2]].reshape(*z.shape[:-1], n - 1)
+
+    @pytest.mark.parametrize("n", range(2, 41, 2))
+    def test_even_groups_fold_the_pair_a_stable_sort_ranks_first(self, n):
+        rng = np.random.default_rng(n)
+        # Small integers: ties and runs of zeros in most rows.
+        block = rng.integers(0, 4, size=(60, n)).astype(float)
+        block[rng.random(block.shape) < 0.1] = np.inf
+        block[0], block[1], block[2], block[3, : n // 2] = 0.0, 2.5, np.inf, 0.0
+        assert samples._hines_hines([block], ["g"], [])[0].tobytes() == self._stable_sort_fold(block).tobytes()
+        for row in block:
+            assert samples._hines_hines([row], ["g"], [])[0].tobytes() == self._stable_sort_fold(row).tobytes()
+
+    def test_a_large_group_folds_the_pair_a_stable_sort_ranks_first(self):
+        rng = np.random.default_rng(5)
+        z = np.abs(rng.integers(-300, 300, size=100_000)).astype(float)
+        z[[7, 50_000]] = np.inf
+        assert samples._hines_hines([z], ["g"], [])[0].tobytes() == self._stable_sort_fold(z).tobytes()
 
 
 class TestObrienScale:

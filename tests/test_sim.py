@@ -1,5 +1,6 @@
 """Simulation harness: determinism, tallies, label grammar, and grids."""
 
+import concurrent.futures
 import math
 
 import pytest
@@ -162,7 +163,7 @@ class TestDeterminism:
         def no_pool(*args, **kwargs):
             raise AssertionError("a single chunk must not start a process pool")
 
-        monkeypatch.setattr(sim, "ProcessPoolExecutor", no_pool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
         report = run_grid((null_scenario(),), workers=5000)
         assert [c.replications for c in report.cells] == [400, 400]
 

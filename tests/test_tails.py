@@ -189,6 +189,16 @@ def test_the_element_that_does_not_converge_is_named(monkeypatch, failing):
     assert f"s={failing[1] / 2}, x={failing[0] / 2}" in str(alone.value)
 
 
+def test_a_huge_df_raises_in_bounded_time():
+    # The budget stops growing at s = 1e8: up to there the expansions
+    # converge, and far beyond it they raise instead of running for hours.
+    assert 0.0 < f_sf(1.0, 1e8, 1e8) < 1.0 and 0.0 < chi_sq_sf(2e8, 2e8) < 1.0
+    with pytest.raises(ArithmeticError, match="failed to converge"):
+        f_sf(1.0, 1e300, 1e300)
+    with pytest.raises(ArithmeticError, match="failed to converge"):
+        chi_sq_sf(1e14, 1e14)
+
+
 def test_a_continued_fraction_that_cannot_start_raises():
     # At x == s beyond 2**53, x + 1 - s is exactly 0 and the first step divides by it.
     with pytest.raises(ZeroDivisionError, match=r"s=5e\+299, x=5e\+299"):
