@@ -208,39 +208,60 @@ class DeviationSet(GroupedSample):
         raise ValidationError("a DeviationSet is built by deviations(), not from columns")
 
 
+def _centers(values: np.ndarray, kind: CenterKind):
+    """The center of one group (1-D) or of each replicate in a block (R, n)."""
+    if kind.name == "mean":
+        return _mean(values)
+    if kind.name == "median":  # without an axis, a lone group's median costs 3 us less
+        return np.median(values, axis=-1) if values.ndim > 1 else np.median(values)
+    n = values.shape[-1]
+    cut = int(math.floor(kind.trim_proportion * n))
+    return _mean(np.sort(values, axis=-1)[..., cut : n - cut])
+
+
 def _abs_deviations(values: np.ndarray, kind: CenterKind) -> tuple[np.ndarray, np.ndarray]:
     """The centers of one group (1-D) or of a block of replicates (R, n), and the absolute deviations."""
-    if kind.name == "mean":
-        c = _mean(values)
-    elif kind.name == "median":  # without an axis, a lone group's median costs 3 us less
-        c = np.median(values, axis=-1) if values.ndim > 1 else np.median(values)
-    else:
-        n = values.shape[-1]
-        cut = int(math.floor(kind.trim_proportion * n))
-        c = _mean(np.sort(values, axis=-1)[..., cut : n - cut])
+    c = _centers(values, kind)
     return c, np.abs(_minus(values, c))
 
 
-def _checked_deviations(values: Sequence[float], kind: CenterKind) -> tuple[np.ndarray, np.ndarray]:
-    """``center``'s checks on one group, then its center and absolute deviations."""
+def _checked_group(values: Sequence[float]) -> np.ndarray:
+    """``center``'s checks on one group: non-empty and finite."""
     arr = np.asarray(values, dtype=float).ravel()
     if arr.size == 0:
         raise ValidationError("cannot take the center of an empty group")
     if not np.isfinite(arr).all():
         raise ValidationError("cannot take the center of non-finite values")
-    return _abs_deviations(arr, kind)
+    return arr
 
 
 def center(values: Sequence[float], kind: Union[CenterKind, str]) -> float:
     """Location estimate of ``values`` under the given center kind."""
-    return float(_checked_deviations(values, as_center_kind(kind))[0])
+    kind = as_center_kind(kind)
+    arr = _checked_group(values)
+    try:
+        with np.errstate(over="raise"):
+            return float(_centers(arr, kind))
+    except FloatingPointError:
+        message = f"the {kind.name} center overflows a float"
+        raise ValidationError(message + ": the values are too large (keep them within 1e150)") from None
 
 
 def deviations(sample: GroupedSample, kind: Union[CenterKind, str]) -> DeviationSet:
     """Absolute deviations of every observation from its group's center."""
     kind = as_center_kind(kind)
-    with np.errstate(over="ignore"):  # an infinite center fails DeviationSet's check for finite values
-        centers, values = zip(*(_checked_deviations(arr, kind) for arr in sample.values))
+    # A sum in a center, or a difference from it, that overflows raises at
+    # once: one floating-point check per call rather than a test per group.
+    try:
+        with np.errstate(over="raise"):
+            centers, values = [], []
+            for label, arr in sample.groups:
+                c, z = _abs_deviations(_checked_group(arr), kind)
+                centers.append(c)
+                values.append(z)
+    except FloatingPointError:
+        message = f"the {kind.name} center or the deviations of group {label!r} overflow a float"
+        raise ValidationError(message + ": the values are too large (keep them within 1e150)") from None
     return DeviationSet(tuple(zip(sample.labels, values)), kind, centers)
 
 
@@ -263,6 +284,8 @@ def _hines_hines(groups: Sequence[np.ndarray], labels: Sequence[str], faults: li
             after = z[~first].reshape(*z.shape[:-1], n - 1).argmin(axis=-1)
             drop = after + (after >= head)
             kept = z * np.where(first, math.sqrt(2.0), 1.0)
+            message = f"the folded deviation of group {label!r} overflows a float: the values are too large"
+            _flag(faults, ~np.isfinite(kept).all(axis=-1), ValidationError, message + " (keep them within 1e150)")
         keep = np.arange(n) != drop[..., None]
         corrected.append(kept[keep].reshape(*z.shape[:-1], n - 1))
     return corrected

@@ -365,14 +365,21 @@ def _dry_run(scenario: Scenario) -> None:
             raise ValidationError(f"scenario {scenario.name!r}: test {test!r}: {exc}") from None
 
 
+def _usable_cpus() -> int:
+    """The CPUs this process may run on: its affinity mask where the platform has one, else the CPU count."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def _pool_size(scenarios: Sequence[Scenario], workers: int) -> int:
     """Worker processes worth starting for ``scenarios``.
 
     A pool forks all of its workers at once, so the request is capped by
-    the chunk count of the largest scenario and by the number of CPUs.
+    the chunk count of the largest scenario and by the number of usable CPUs.
     """
     chunks = max(math.ceil(s.replications / _CHUNK) for s in scenarios)
-    return min(workers, chunks, os.cpu_count() or 1)
+    return min(workers, chunks, _usable_cpus())
 
 
 def run_grid(scenarios: Sequence[Scenario], workers: int = 1) -> SimulationReport:

@@ -506,6 +506,13 @@ class TestExitContract:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "too large" in err
 
+    def test_a_center_that_overflows_exits_2_as_too_large(self, tmp_path, capsys):
+        path = tmp_path / "near-max.csv"
+        path.write_text("group,value\na,1.7e308\na,1.7e308\na,1\nb,1\nb,2\nb,4\n")
+        assert cli.main(["test", "--center", "mean", "--input", str(path)]) == 2
+        message = "the mean center or the deviations of group 'a' overflow a float"
+        assert capsys.readouterr().err == f"error: {message}: the values are too large (keep them within 1e150)\n"
+
 
 def test_importing_the_cli_starts_no_process_machinery():
     # simulate imports the process pool only when it starts one.

@@ -1,23 +1,28 @@
-"""Dataset ingestion: the block reader against the csv row loop.
+"""Dataset ingestion: the block reader and the split reader against the csv row loop.
 
 ``cli._read_dataset`` parses plain blocks of a file in bulk and hands
-anything else to the csv row loop.  Whatever path a file takes, the
-groups must be byte-identical and every error must carry the same
-message.  Three readings of each file are compared: the default reader,
-the reader with tiny blocks (so block boundaries fall mid-file), and the
-row loop alone.  Successful readings are also checked against a plain
-``csv.DictReader`` loop with per-label buckets.
+anything else to the csv row loop; a large plain file is parsed in parts
+by forked workers.  Whatever path a file takes, the groups must be
+byte-identical and every error must carry the same message.  Four
+readings of each file are compared: the default reader, the reader with
+tiny blocks (so block boundaries fall mid-file), the row loop alone, and
+the split reader forced onto the file (so that it is cut into 2-3 parts).
+Successful readings are also checked against a plain ``csv.DictReader``
+loop with per-label buckets.
 """
 
 import csv
 import os
+import subprocess
+import sys
 import tempfile
+import threading
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from vartests import ValidationError, cli
+from vartests import ValidationError, _parts, cli
 
 
 def _outcome(path, group_order=None):
@@ -28,8 +33,14 @@ def _outcome(path, group_order=None):
     return [(label, arr.dtype.str, arr.tobytes()) for label, arr in sample.groups]
 
 
+def _force_split(mp, cpus=3):
+    """Make the split reader cut any file with a plain header into up to ``cpus`` parts."""
+    mp.setattr(cli, "_MIN_PART_BYTES", 1)
+    mp.setattr(cli, "_usable_cpus", lambda: cpus)
+
+
 def _readings(path, group_order=None, block_chars=7):
-    """(default reader, tiny blocks, row loop only) outcomes for one file."""
+    """(default reader, tiny blocks, row loop only, split reader) outcomes for one file."""
     default = _outcome(path, group_order)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(cli, "_BLOCK_CHARS", block_chars)
@@ -37,7 +48,11 @@ def _readings(path, group_order=None, block_chars=7):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(cli, "_parse_plain_block", lambda *args: None)
         rows_only = _outcome(path, group_order)
-    return default, small_blocks, rows_only
+    with pytest.MonkeyPatch.context() as mp:
+        _force_split(mp)
+        mp.setattr(cli, "_BLOCK_CHARS", block_chars)
+        split = _outcome(path, group_order)
+    return default, small_blocks, rows_only, split
 
 
 def _dictreader_groups(path, group_order=None):
@@ -51,9 +66,10 @@ def _dictreader_groups(path, group_order=None):
 
 
 def assert_equivalent(path, group_order=None, block_chars=7):
-    default, small_blocks, rows_only = _readings(path, group_order, block_chars)
+    default, small_blocks, rows_only, split = _readings(path, group_order, block_chars)
     assert default == rows_only
     assert small_blocks == rows_only
+    assert split == rows_only
     if default[0] != "error":
         got = [(label, list(memoryview(raw).cast("d"))) for label, _, raw in default]
         assert got == _dictreader_groups(path, group_order)
@@ -75,6 +91,7 @@ EDGE_FILES = {
     "bom_padded_underscore": "﻿group,value\n  a ,1_000\na, 2.5 \nb,\t3e2\nb,-0.0\n",
     "crlf": "group,value\r\na,1\r\na,2.5\r\nb,3\r\nb,7\r\n",
     "lone_cr": "group,value\ra,1\ra,2.5\rb,3\rb,7\r",
+    "lone_cr_after_header": "group,value\ra,1\na,2.5\nb,3\nb,7\n",
     "blank_lines": "group,value\n\na,1\na,2\n\n\nb,3\nb,7\n\n",
     "no_final_newline": "group,value\na,1\na,2\nb,3\nb,7",
     "quoted": 'group,value\n"a,x",1\n"a,x",2\nb,"3"\nb,7\n',
@@ -173,6 +190,171 @@ def test_only_the_rest_of_the_file_takes_the_row_loop(tmp_path, monkeypatch):
     assert len(seen) == 1 and 0 < seen[0] < 300
     monkeypatch.undo()
     assert outcome == assert_equivalent(path)
+
+
+# ---------------------------------------------------------------------------
+# the split reader
+
+
+def _spy_parts(monkeypatch):
+    """Record, for each split read that joins its parts, how many workers it joined."""
+    joined = []
+    join = _parts._join
+
+    def spy(mine, pipes):
+        result = join(mine, pipes)
+        joined.append(None if result is None else len(pipes))
+        return result
+
+    monkeypatch.setattr(_parts, "_join", spy)
+    return joined
+
+
+def _rows_file(tmp_path, name, labels, newline="\n"):
+    lines = ["group,value"] + [f"{label},{(i * 0.37) ** 3!r}" for i, label in enumerate(labels)]
+    return _write(tmp_path, name, newline.join(lines) + newline)
+
+
+@pytest.mark.parametrize("cpus", [2, 3])
+def test_a_label_first_seen_in_the_last_part_keeps_its_place(tmp_path, monkeypatch, cpus):
+    # The parts meet their labels in different orders; the file meets them as b, a, c, late.
+    labels = ["b", "a"] * 40 + ["c", "a", "b"] * 20 + ["late", "c"]
+    path = _rows_file(tmp_path, "late.csv", labels)
+    joined = _spy_parts(monkeypatch)
+    _force_split(monkeypatch, cpus)
+    split = _outcome(path)
+    assert joined == [cpus - 1]
+    assert [label for label, _, _ in split] == ["b", "a", "c", "late"]
+    monkeypatch.undo()
+    assert split == assert_equivalent(path)
+
+
+def test_group_order_applies_to_the_split_reader(tmp_path, monkeypatch):
+    path = _rows_file(tmp_path, "order.csv", ["b", "a", "c"] * 30)
+    joined = _spy_parts(monkeypatch)
+    _force_split(monkeypatch)
+    split = _outcome(path, ["c", "a", "b"])
+    assert joined == [2] and [label for label, _, _ in split] == ["c", "a", "b"]
+    assert _outcome(path, ["a", "b"])[0] == "error"
+    monkeypatch.undo()
+    assert split == assert_equivalent(path, group_order=["c", "a", "b"])
+
+
+def _middle_cut_target(content):
+    """Where the split reader, cutting in two, starts looking for a line break."""
+    start = content.index(b"\n") + 1
+    return start + (len(content) - start) // 2
+
+
+@pytest.mark.parametrize(
+    "middle, hit",
+    [("\r\n", "\r"), ("\r\n", "\n"), ('"a\nx",1\n', "\n"), ('"a\nx",1\n', '"')],
+    ids=["crlf-cut-at-cr", "crlf-cut-at-lf", "quoted-newline-cut-inside", "quoted-newline-cut-at-quote"],
+)
+def test_a_cut_near_a_line_break_pair_or_a_quoted_newline(tmp_path, middle, hit):
+    # Pad the first label until the cut target falls on the wanted character.
+    for pad in range(64):
+        head = ["group,value", f"{'a' * (pad + 1)},1"] + [f"b,{i}" for i in range(20)]
+        if middle == "\r\n":
+            content = ("\r\n".join(head + [f"a,{i}" for i in range(20)]) + "\r\n").encode()
+        else:
+            content = ("\n".join(head) + "\n" + middle + "\n".join(f"a,{i}" for i in range(20)) + "\n").encode()
+        target = _middle_cut_target(content)
+        if content[target : target + 1] == hit.encode() and (middle == "\r\n" or hit == '"' or b'"a' in content[:target]):
+            break
+    else:
+        pytest.fail("no padding puts the cut target on the wanted character")
+    path = _write(tmp_path, "cut.csv", content)
+    with pytest.MonkeyPatch.context() as mp:
+        _force_split(mp, cpus=2)
+        assert _outcome(path) == assert_equivalent(path)
+
+
+@pytest.mark.parametrize(
+    "bad, message",
+    [(b"b,oops", ":2990: bad value 'oops'"), (b"\xe9,2", "is not UTF-8 text (invalid continuation byte)")],
+    ids=["bad-value", "not-utf8"],
+)
+def test_an_error_in_the_last_part_is_the_serial_error(tmp_path, monkeypatch, bad, message):
+    # Longer than the text reader's first chunk, so that the header is read before the bad byte.
+    lines = [b"group,value"] + [f"g{i % 3},{i}".encode() for i in range(3000)]
+    lines[2989] = bad
+    path = _write(tmp_path, "late_error.csv", b"\n".join(lines) + b"\n")
+    joined = _spy_parts(monkeypatch)
+    _force_split(monkeypatch)
+    split = _outcome(path)
+    assert joined == [None]  # the last part is not plain: its worker sends nothing
+    assert split[0] == "error" and message in split[2]
+    monkeypatch.undo()
+    assert split == assert_equivalent(path)
+
+
+def _raise_in_workers(parse):
+    parent = os.getpid()
+
+    def parse_part(*args):
+        if os.getpid() != parent:
+            raise RuntimeError("a worker fails")
+        return parse(*args)
+
+    return parse_part
+
+
+def _truncated_stream(fd, lo, hi, block_bytes, parse_block, write_end):
+    os.write(write_end, (10).to_bytes(8, "little") + (1).to_bytes(8, "little") + b"a")
+    os._exit(0)
+
+
+@pytest.mark.parametrize("fault", ["parser-raises", "stream-ends-early"])
+def test_a_failing_worker_gives_the_serial_result(tmp_path, monkeypatch, capfd, fault):
+    path = _rows_file(tmp_path, "plain.csv", ["a", "b", "c"] * 50)
+    serial = _outcome(path)
+    if fault == "parser-raises":
+        monkeypatch.setattr(_parts, "_parse_part", _raise_in_workers(_parts._parse_part))
+    else:
+        monkeypatch.setattr(_parts, "_worker", _truncated_stream)
+    joined = _spy_parts(monkeypatch)
+    _force_split(monkeypatch)
+    assert _outcome(path) == serial
+    assert joined == [None]
+    assert capfd.readouterr() == ("", "")
+
+
+def _no_fork():
+    raise AssertionError("a process was started")
+
+
+def test_a_fifo_is_read_in_one_process(tmp_path, monkeypatch):
+    path = str(tmp_path / "data.fifo")
+    os.mkfifo(path)
+    content = EDGE_FILES["plain"]  # a plain file that the split reader would cut into parts
+    writer = threading.Thread(target=lambda: _write(tmp_path, "data.fifo", content))
+    writer.start()
+    _force_split(monkeypatch)
+    monkeypatch.setattr(_parts, "_fork_context", _no_fork)
+    try:
+        outcome = _outcome(path)
+    finally:
+        writer.join()
+    assert [(label, list(memoryview(raw).cast("d"))) for label, _, raw in outcome] == [("a", [1.0, 3.0]), ("b", [2.0, 5.0])]
+
+
+def test_a_file_below_the_part_size_is_read_in_one_process(tmp_path, monkeypatch):
+    path = _rows_file(tmp_path, "small.csv", ["a", "b"] * 1000)
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: 64)
+    monkeypatch.setattr(_parts, "_fork_context", _no_fork)
+    assert cli._read_dataset(path).sizes == (1000, 1000)
+
+
+def test_a_small_file_imports_no_process_machinery(tmp_path):
+    path = _rows_file(tmp_path, "small.csv", ["a", "b"] * 1000)
+    code = (
+        "import sys; from vartests import cli; cli._read_dataset(sys.argv[1]); "
+        "print(sorted({'multiprocessing', 'concurrent.futures', 'vartests._parts'} & set(sys.modules)))"
+    )
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    proc = subprocess.run([sys.executable, "-c", code, path], capture_output=True, text=True, env=env, check=True)
+    assert proc.stdout == "[]\n"
 
 
 # ---------------------------------------------------------------------------

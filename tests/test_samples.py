@@ -75,6 +75,19 @@ class TestCenter:
         with pytest.raises(ValidationError):
             center([1.0, np.nan], "median")
 
+    @pytest.mark.parametrize(
+        "values, kind",
+        [([1.7e308, 1.7e308, 1.0], "mean"), ([1.7e308, 1.7e308], "median"), ([1.7e308] * 8, "trimmed")],
+    )
+    def test_a_center_that_overflows_is_too_large(self, values, kind):
+        # Raised before numpy can warn: the suite turns RuntimeWarning into an error.
+        with pytest.raises(ValidationError, match=r"too large \(keep them within 1e150\)"):
+            center(values, kind)
+
+    def test_values_near_the_float_maximum_with_a_finite_center_still_have_one(self):
+        assert center([1.7e308, 1.0, 1.7e308, 1.0], "trimmed") == 0.5 * 1.7e308 + 0.5
+        assert center([-1.7e308, 1.7e308], "median") == 0.0
+
 
 class TestGroupedSample:
     def test_basic_properties(self):
@@ -142,6 +155,17 @@ class TestDeviations:
         assert dev.df_adjustment == 0
         assert not dev.scaled
 
+    @pytest.mark.parametrize("kind", ["mean", "median", "trimmed"])
+    @pytest.mark.parametrize(
+        "group",
+        # the center overflows; the center is finite but a deviation from it is not
+        [[1.7e308, 1.7e308, 1.7e308, 1.0], [-1.7e308, -1.7e308, -1.7e308, -1.7e308, 1.7e308]],
+    )
+    def test_an_overflow_is_too_large_not_non_finite(self, group, kind):
+        sample = make_sample([1.0, 2.0, 4.0], group)
+        with pytest.raises(ValidationError, match=r"group 'g2' overflow a float: the values are too large"):
+            deviations(sample, kind)
+
     def test_deviations_are_location_invariant(self):
         rng = np.random.default_rng(42)
         base = [rng.normal(size=9), rng.normal(size=14)]
@@ -168,6 +192,11 @@ class TestHinesHines:
         assert sorted(fixed.values[1].tolist()) == [2.0, 2.0]
         assert fixed.df_adjustment == 2
         assert fixed.sizes == (2, 2)
+
+    def test_a_fold_that_overflows_is_too_large(self):
+        dev = deviations(make_sample([1, 2, 3, 5], [-1.7e308, 1.7e308, -1.7e308, 1.7e308]), "median")
+        with pytest.raises(ValidationError, match=r"group 'g2' overflows a float: the values are too large"):
+            hines_hines_correct(dev)
 
     def test_even_group_folds_tied_pair(self):
         # {1,2,3,4}: median 2.5, deviations {1.5, 0.5, 0.5, 1.5}; the tied

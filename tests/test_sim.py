@@ -150,14 +150,23 @@ class TestDeterminism:
     def test_pool_size_is_capped_by_chunks_and_cpus(self, monkeypatch):
         one_chunk = null_scenario(replications=400)
         three_chunks = null_scenario(name="three", replications=1300)
-        monkeypatch.setattr(sim.os, "cpu_count", lambda: 8)
+        monkeypatch.setattr(sim, "_usable_cpus", lambda: 8)
         assert sim._pool_size((one_chunk,), 5000) == 1
         assert sim._pool_size((one_chunk, three_chunks), 5000) == 3
         assert sim._pool_size((three_chunks,), 2) == 2
-        monkeypatch.setattr(sim.os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(sim, "_usable_cpus", lambda: 2)
         assert sim._pool_size((three_chunks,), 5000) == 2
-        monkeypatch.setattr(sim.os, "cpu_count", lambda: None)
+        monkeypatch.setattr(sim, "_usable_cpus", lambda: 1)
         assert sim._pool_size((three_chunks,), 5000) == 1
+
+    def test_usable_cpus_follow_the_affinity_mask_else_the_cpu_count(self, monkeypatch):
+        monkeypatch.setattr(sim.os, "sched_getaffinity", lambda pid: {0, 3}, raising=False)
+        monkeypatch.setattr(sim.os, "cpu_count", lambda: 8)
+        assert sim._usable_cpus() == 2
+        monkeypatch.delattr(sim.os, "sched_getaffinity")
+        assert sim._usable_cpus() == 8
+        monkeypatch.setattr(sim.os, "cpu_count", lambda: None)
+        assert sim._usable_cpus() == 1
 
     def test_capped_pool_of_one_runs_in_process(self, monkeypatch):
         def no_pool(*args, **kwargs):
