@@ -1,16 +1,18 @@
-"""A large plain dataset file read in parts, one forked process per part.
+"""Work in parts on forked workers: a simulation's chunks, and a large plain dataset file.
 
-``cli`` decides whether a file is worth splitting and parses each block
-of lines; this module cuts the file's data bytes at line feeds, parses
-the first part in the calling process and every other part in a forked
-worker, and joins the parts' columns.  It is imported only to split a
-file, so that no other command loads it or ``multiprocessing``.
+``forked`` starts the workers.  For a file, ``cli`` decides whether it is
+worth splitting and parses each block of lines; ``read`` cuts the data
+bytes at line feeds, parses the first part here and every other part in
+a worker, and joins the parts' columns.  The module is imported only to fork.
 """
 
 from __future__ import annotations
 
+import contextlib
+import functools
 import os
-from typing import Callable
+import signal
+from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
@@ -18,6 +20,35 @@ Columns = tuple[np.ndarray, np.ndarray]  # each row's group code and value
 # parse_block(text, codes, labels): a block of lines as columns, or None if
 # it is not plain; ``codes`` and ``labels`` are the part's own code dicts.
 BlockParser = Callable[[str, dict, dict], "Columns | None"]
+
+
+@contextlib.contextmanager
+def forked(jobs: Iterable[Callable[[int], None]]) -> Iterator[list]:
+    """Run each ``job(write_end)`` in a forked worker; yields the read ends of their pipes, None where none started.
+
+    No job starts without ``fork``.  Leaving the block closes the pipes, then kills and reaps the workers.
+    """
+    workers = []
+    try:
+        for job in jobs:
+            read_end, write_end = os.pipe()
+            pid = -1
+            with contextlib.suppress(OSError):  # no process to spare
+                pid = os.fork() if hasattr(os, "fork") else -1
+            if pid == 0:
+                try:
+                    job(write_end)
+                finally:  # no traceback, and none of the buffers shared with the parent flushed
+                    os._exit(0)
+            os.close(write_end)  # so that a worker's death ends its stream
+            workers.append((pid, open(read_end, "rb", buffering=0)))
+        yield [pipe if pid > 0 else None for pid, pipe in workers]
+    finally:
+        for pid, pipe in workers:
+            pipe.close()
+            if pid > 0:
+                os.kill(pid, signal.SIGKILL)  # a finished worker has nothing more to give
+                os.waitpid(pid, 0)
 
 
 def read(
@@ -30,46 +61,16 @@ def read(
     blocks of about ``block_bytes`` that end at a line feed; each part
     codes its labels in its own order of first appearance, and the codes
     are remapped here to the order over the whole range.  A part that is
-    not plain or not UTF-8, a worker that fails and a platform without
-    ``fork`` all give None.
+    not plain or not UTF-8, a worker that fails or does not start, and a
+    platform without ``fork`` all give None.
     """
     cuts = sorted({start, stop, *(_line_end(fd, start + (stop - start) * i // count, stop) for i in range(1, count))})
-    context = _fork_context()
-    if context is None:
-        return None
-    workers, joined = [], None
-    try:
-        for lo, hi in zip(cuts[1:], cuts[2:]):
-            read_end, write_end = os.pipe()
-            try:
-                worker = context.Process(target=_worker, args=(fd, lo, hi, block_bytes, parse_block, write_end))
-                worker.start()
-            except OSError:  # no process to spare
-                os.close(read_end)
-                return None
-            finally:
-                os.close(write_end)  # so that a worker's death ends its stream
-            workers.append((worker, open(read_end, "rb", buffering=0)))
+    jobs = (functools.partial(_worker, fd, lo, hi, block_bytes, parse_block) for lo, hi in zip(cuts[1:], cuts[2:]))
+    with forked(jobs) as pipes:
+        if None in pipes:
+            return None
         mine = _parse_part(fd, cuts[0], cuts[1], block_bytes, parse_block)
-        if mine is not None:
-            joined = _join(mine, [pipe for _, pipe in workers])
-        return joined
-    finally:
-        for worker, pipe in workers:
-            pipe.close()
-            if joined is None:  # the serial reader starts over: stop the parts still being parsed
-                worker.kill()
-            worker.join()
-
-
-def _fork_context():
-    """multiprocessing's fork context, or None where the platform cannot fork."""
-    import multiprocessing  # imported here: most reads never split a file
-
-    try:
-        return multiprocessing.get_context("fork")
-    except ValueError:
-        return None
+        return None if mine is None else _join(mine, pipes)
 
 
 def _line_end(fd: int, offset: int, stop: int) -> int:
@@ -107,26 +108,22 @@ def _parse_part(
 
 
 def _worker(fd: int, lo: int, hi: int, block_bytes: int, parse_block: BlockParser, write_end: int) -> None:
-    """Parse one part in a forked process and write it to ``write_end``: nothing at all if it is not plain.
+    """Parse one part and write it to ``write_end``: nothing at all if it is not plain.
 
     The stream is the row count, the byte length of the labels, the labels
     joined by newlines (a plain label holds none), then every code and every
-    value.  The worker leaves by ``os._exit``: it prints no traceback and
-    flushes none of the buffers it shares with the parent.
+    value.
     """
-    try:
-        parsed = _parse_part(fd, lo, hi, block_bytes, parse_block)
-        if parsed is not None:
-            labels, blocks = parsed
-            names = "\n".join(labels).encode("utf-8")
-            rows = sum(c.size for c, _ in blocks)
-            with open(write_end, "wb", closefd=False) as out:
-                out.write(rows.to_bytes(8, "little") + len(names).to_bytes(8, "little") + names)
-                for column in (0, 1):
-                    for block in blocks:
-                        out.write(block[column])
-    finally:
-        os._exit(0)
+    parsed = _parse_part(fd, lo, hi, block_bytes, parse_block)
+    if parsed is not None:
+        labels, blocks = parsed
+        names = "\n".join(labels).encode("utf-8")
+        rows = sum(c.size for c, _ in blocks)
+        with open(write_end, "wb", closefd=False) as out:
+            out.write(rows.to_bytes(8, "little") + len(names).to_bytes(8, "little") + names)
+            for column in (0, 1):
+                for block in blocks:
+                    out.write(block[column])
 
 
 def _join(mine: tuple[list[str], list[Columns]], pipes: list) -> tuple[list[str], np.ndarray, np.ndarray] | None:

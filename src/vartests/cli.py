@@ -45,11 +45,11 @@ __all__ = ["main"]
 _BLOCK_CHARS = 1 << 20
 
 # The smallest part of a dataset file worth a process of its own.  A split
-# costs a fixed 15-20 ms (importing multiprocessing, forking, taking the
-# columns back), which breaks even at parts of about 0.5 MiB: `anova` on a
-# 1 MiB plain file took as long in two parts as in one (medians of 11 runs
-# on a 2-vCPU Xeon), and saved 58 ms of 420 on a 4 MiB file.  Eight times
-# the break-even keeps the saving well clear of the noise.
+# cost a fixed 15-20 ms when it also imported multiprocessing (about 14 ms
+# of that), and broke even at parts of about 0.5 MiB: `anova` on a 1 MiB
+# plain file took as long in two parts as in one (medians of 11 runs on a
+# 2-vCPU Xeon), and saved 58 ms of 420 on a 4 MiB file.  Eight times that
+# break-even keeps the saving well clear of the noise.
 _MIN_PART_BYTES = 4 << 20
 
 _REPORT_COLUMNS = (

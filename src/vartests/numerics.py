@@ -22,9 +22,10 @@ from __future__ import annotations
 
 import functools
 import hashlib
+import itertools
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -404,16 +405,27 @@ def draw(dist: DistributionSpec, n: int, rng: np.random.Generator) -> np.ndarray
     """Draw ``n`` variates from ``dist`` using an existing generator."""
     if not isinstance(n, int) or isinstance(n, bool) or n < 1:
         raise ValidationError(f"sample size must be a positive integer, got {n!r}")
-    if dist.family == NORMAL:
-        base = rng.standard_normal(n)
-    elif dist.family == EXPONENTIAL:
-        base = rng.standard_exponential(n)
-    elif dist.family == STUDENT_T:
+    return _draw_rows(dist, (n,), 1, (rng,))[0]
+
+
+def _draw_rows(dist: DistributionSpec, sizes: Sequence[int], rows: int, generators: Iterable) -> np.ndarray:
+    """Row r: ``draw(dist, n, rng)`` for each n in ``sizes``, side by side, from the r-th generator ``rng``.
+
+    A stream is consumed value by value, so one call fills a row (per group and piece for Student-t).
+    """
+    out = np.empty((rows, sum(sizes)))
+    if dist.family == STUDENT_T:
         # t_nu = Z / sqrt(chi2_nu / nu), built from independent pieces so the
         # draw count per variate is fixed by the family alone.
-        z = rng.standard_normal(n)
-        chi2 = 2.0 * rng.standard_gamma(0.5 * dist.shape, n)
-        base = z / np.sqrt(chi2 / dist.shape)
-    else:  # chi-squared
-        base = 2.0 * rng.standard_gamma(0.5 * dist.shape, n)
-    return base
+        gamma = np.empty_like(out)
+        groups = [slice(end - n, end) for n, end in zip(sizes, itertools.accumulate(sizes))]
+        for r, rng in zip(range(rows), generators):
+            for group in groups:
+                rng.standard_normal(out=out[r, group])
+                rng.standard_gamma(0.5 * dist.shape, out=gamma[r, group])
+        return out / np.sqrt(2.0 * gamma / dist.shape)
+    shape = (0.5 * dist.shape,) if dist.family == CHI_SQUARED else ()
+    fill = {NORMAL: "standard_normal", EXPONENTIAL: "standard_exponential", CHI_SQUARED: "standard_gamma"}[dist.family]
+    for r, rng in zip(range(rows), generators):
+        getattr(rng, fill)(*shape, out=out[r])
+    return 2.0 * out if shape else out

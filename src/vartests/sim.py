@@ -10,8 +10,10 @@ the rejection counts.
 
 from __future__ import annotations
 
+import functools
 import math
 import os
+import pickle
 import time
 import warnings
 from dataclasses import dataclass, field
@@ -21,8 +23,7 @@ import numpy as np
 
 from .errors import DegenerateDataError, ValidationError
 from .means import AdaptiveConfig, PreliminaryLevelWarning, _welch, adaptive_anova, anova_f, welch_anova
-from .numerics import CHI_SQUARED, STUDENT_T, DistributionSpec, _stream_generators, chi_sq_sf, derive_seed, f_sf
-from .numerics import draw as _draw
+from .numerics import CHI_SQUARED, STUDENT_T, DistributionSpec, _draw_rows, _stream_generators, chi_sq_sf, derive_seed, f_sf
 from .samples import CenterKind, GroupedSample, _abs_deviations, _hines_hines, _obrien, as_center_kind
 from .spread import _bartlett, _box_anderson, _one_way_f, as_correction, bartlett_m, box_anderson_b3, levene_test
 from .trend import ScoreSet, _side_p_values, _trend_slope, as_side, trend_test
@@ -74,15 +75,11 @@ class _Chunk:
 
 def _draw_chunk(scenario: "Scenario", start: int, stop: int) -> _Chunk:
     """Replicates ``start``..``stop - 1``, each drawn from its own ``RngStream(master_seed, rep)`` as if alone."""
-    base = _base_distribution(scenario.distribution)
-    blocks = [np.empty((stop - start, size)) for size in scenario.group_sizes]
-    for row, rng in enumerate(_stream_generators(scenario.master_seed, range(start, stop))):
-        for block in blocks:
-            block[row] = _draw(base, block.shape[1], rng)
-    for block, shift, ratio in zip(blocks, scenario.mean_shifts, scenario.sigma_ratios):
-        block *= ratio
-        block += shift
-    return _Chunk(blocks)
+    sizes = scenario.group_sizes
+    generators = _stream_generators(scenario.master_seed, range(start, stop))
+    errors = _draw_rows(_base_distribution(scenario.distribution), sizes, stop - start, generators)
+    scales = zip(sizes, np.cumsum(sizes), scenario.sigma_ratios, scenario.mean_shifts)
+    return _Chunk([errors[:, end - n : end] * ratio + shift for n, end, ratio, shift in scales])
 
 
 def _f_rows(kernel, chunk: _Chunk):
@@ -372,18 +369,38 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-def _pool_size(scenarios: Sequence[Scenario], workers: int) -> int:
-    """Worker processes worth starting for ``scenarios``.
+def _run_spans(spans: Sequence[tuple[Scenario, int, int]]) -> list:
+    """Each span's ``_run_span`` tallies in turn, up to the error of the first span that raises one the CLI reports."""
+    outcomes: list = []
+    for span in spans:
+        try:
+            outcomes.append(_run_span(*span))
+        except (ArithmeticError, DegenerateDataError, ValidationError) as exc:
+            return outcomes + [exc]
+    return outcomes
 
-    A pool forks all of its workers at once, so the request is capped by
-    the chunk count of the largest scenario and by the number of usable CPUs.
-    """
-    chunks = max(math.ceil(s.replications / _CHUNK) for s in scenarios)
-    return min(workers, chunks, _usable_cpus())
+
+def _send_outcomes(spans: Sequence[tuple[Scenario, int, int]], write_end: int) -> None:
+    with open(write_end, "wb", closefd=False) as out:
+        pickle.dump(_run_spans(spans), out)
+
+
+def _received(pipe) -> list | None:
+    """A worker's outcomes, or None if it did not start or its stream ends early."""
+    try:
+        return None if pipe is None else pickle.loads(pipe.readall())
+    except (EOFError, pickle.UnpicklingError):
+        return None
 
 
 def run_grid(scenarios: Sequence[Scenario], workers: int = 1) -> SimulationReport:
-    """Run several scenarios and collect every (scenario, test) cell."""
+    """Run several scenarios and collect every (scenario, test) cell.
+
+    The 512-replicate spans, in scenario-then-chunk order, are dealt to
+    ``min(workers, ceil(total replicates / 512), usable CPUs)`` forked
+    workers: worker r runs spans r, r + count, ...  A lone worker's spans,
+    and those of a worker that dies or does not start, run here.
+    """
     if not isinstance(workers, int) or workers < 1:
         raise ValidationError(f"workers must be a positive integer, got {workers!r}")
     names = [s.name for s in scenarios]
@@ -394,26 +411,30 @@ def run_grid(scenarios: Sequence[Scenario], workers: int = 1) -> SimulationRepor
     for scenario in scenarios:
         _dry_run(scenario)
     started = time.perf_counter()
+    spans = [(s, lo, min(lo + _CHUNK, s.replications)) for s in scenarios for lo in range(0, s.replications, _CHUNK)]
+    count = min(workers, math.ceil(sum(s.replications for s in scenarios) / _CHUNK), _usable_cpus())
+    shares, received = [spans[r::count] for r in range(count)], [None]
+    if count > 1:
+        from . import _parts  # imported here: most runs fork nothing
+        with _parts.forked(functools.partial(_send_outcomes, share) for share in shares) as pipes:
+            received = [_received(pipe) for pipe in pipes]
+    outcomes: list = [None] * len(spans)
+    for r, (share, got) in enumerate(zip(shares, received)):
+        got = _run_spans(share) if got is None else got
+        outcomes[r : r + count * len(got) : count] = got
+    outcomes_in_order = iter(outcomes)
     cells: list[CellResult] = []
-    pool_size = _pool_size(scenarios, workers)
-    if pool_size > 1:  # imported here: multiprocessing adds about 30 ms to every CLI start
-        from concurrent.futures import ProcessPoolExecutor
-    pool = ProcessPoolExecutor(max_workers=pool_size) if pool_size > 1 else None
-    mapper = map if pool is None else pool.map
-    try:
-        for scenario in scenarios:
-            starts = range(0, scenario.replications, _CHUNK)
-            stops = [min(lo + _CHUNK, scenario.replications) for lo in starts]
-            partials = list(mapper(_run_span, [scenario] * len(starts), starts, stops))
-            for slot, test in enumerate(scenario.tests):
-                tallies = [part[slot] for part in partials]
-                rejections, errors, too_large = (sum(tally[i] for tally in tallies) for i in range(3))
-                if too_large == scenario.replications:  # then the cell, not a replicate, is at fault
-                    raise ValidationError(f"scenario {scenario.name!r}: test {test!r}: {tallies[0][3]}")
-                cells.append(CellResult(scenario=scenario, test=test, rejections=rejections, error_count=errors))
-    finally:
-        if pool is not None:
-            pool.shutdown()
+    for scenario in scenarios:
+        partials = [next(outcomes_in_order) for _ in range(0, scenario.replications, _CHUNK)]
+        for part in partials:  # a worker stops at its first error, so a span it skipped comes after one
+            if isinstance(part, Exception):
+                raise part
+        for slot, test in enumerate(scenario.tests):
+            tallies = [part[slot] for part in partials]
+            rejections, errors, too_large = (sum(tally[i] for tally in tallies) for i in range(3))
+            if too_large == scenario.replications:  # then the cell, not a replicate, is at fault
+                raise ValidationError(f"scenario {scenario.name!r}: test {test!r}: {tallies[0][3]}")
+            cells.append(CellResult(scenario=scenario, test=test, rejections=rejections, error_count=errors))
     return SimulationReport(cells=tuple(cells), elapsed=time.perf_counter() - started)
 
 

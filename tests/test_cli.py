@@ -515,9 +515,32 @@ class TestExitContract:
 
 
 def test_importing_the_cli_starts_no_process_machinery():
-    # simulate imports the process pool only when it starts one.
     code = "import sys, vartests.cli; print(sorted({'multiprocessing', 'concurrent.futures'} & set(sys.modules)))"
     assert subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True).stdout == "[]\n"
+
+
+@pytest.mark.parametrize("work", ["simulate", "split-read"])
+def test_forked_workers_load_no_pool_module(tmp_path, work):
+    # Workers are forked directly: neither multiprocessing nor concurrent.futures is imported.
+    grid = tmp_path / "grid.txt"
+    grid.write_text("scenario = two-chunks\ndistribution = normal\ngroup_sizes = 5, 5\nsigma_ratios = 1, 2\n"
+                    "tests = anova\nreplications = 1024\n")
+    data = tmp_path / "plain.csv"
+    data.write_text("group,value\n" + "".join(f"g{i % 3},{i * 0.5}\n" for i in range(300)))
+    run = {
+        "simulate": f"cli.main(['simulate', '--grid', {str(grid)!r}, '--seed', '1', '--workers', '2', "
+                    f"'--out', {str(tmp_path / 'out.csv')!r}])",
+        "split-read": f"cli._read_dataset({str(data)!r})",
+    }[work]
+    code = (
+        "import sys; from vartests import cli, sim; "
+        "cli._usable_cpus = sim._usable_cpus = lambda: 2; cli._MIN_PART_BYTES = 1; "
+        f"{run}; "
+        "print('forked' if 'vartests._parts' in sys.modules else 'in-process', "
+        "sorted({'multiprocessing', 'concurrent.futures'} & set(sys.modules)), file=sys.stderr)"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    assert proc.stderr == "forked []\n"
 
 
 class TestOptionRegistry:

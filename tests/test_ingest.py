@@ -331,7 +331,7 @@ def test_a_fifo_is_read_in_one_process(tmp_path, monkeypatch):
     writer = threading.Thread(target=lambda: _write(tmp_path, "data.fifo", content))
     writer.start()
     _force_split(monkeypatch)
-    monkeypatch.setattr(_parts, "_fork_context", _no_fork)
+    monkeypatch.setattr(os, "fork", _no_fork)
     try:
         outcome = _outcome(path)
     finally:
@@ -342,7 +342,7 @@ def test_a_fifo_is_read_in_one_process(tmp_path, monkeypatch):
 def test_a_file_below_the_part_size_is_read_in_one_process(tmp_path, monkeypatch):
     path = _rows_file(tmp_path, "small.csv", ["a", "b"] * 1000)
     monkeypatch.setattr(cli, "_usable_cpus", lambda: 64)
-    monkeypatch.setattr(_parts, "_fork_context", _no_fork)
+    monkeypatch.setattr(os, "fork", _no_fork)
     assert cli._read_dataset(path).sizes == (1000, 1000)
 
 

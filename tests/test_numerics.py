@@ -18,7 +18,7 @@ from vartests import (
     reg_inc_gamma_lower,
     std_normal_sf,
 )
-from vartests.numerics import _stream_generators
+from vartests.numerics import _draw_rows, _stream_generators
 
 
 class TestLnGamma:
@@ -244,6 +244,18 @@ class TestDistributionSpec:
             DistributionSpec("student-t", shape=math.inf)
 
 
+def _sized_draw(spec, n, rng):
+    """One group drawn by numpy's size-n calls: the reference for the draws that fill rows in place."""
+    if spec.family == "normal":
+        return rng.standard_normal(n)
+    if spec.family == "exponential":
+        return rng.standard_exponential(n)
+    if spec.family == "student-t":
+        z = rng.standard_normal(n)
+        return z / np.sqrt(2.0 * rng.standard_gamma(0.5 * spec.shape, n) / spec.shape)
+    return 2.0 * rng.standard_gamma(0.5 * spec.shape, n)
+
+
 class TestRngStream:
     def test_same_key_same_sequence(self):
         a = draw(DistributionSpec("normal"), 1000, RngStream(42, 7).generator())
@@ -278,14 +290,24 @@ class TestRngStream:
                                       DistributionSpec("chi-squared", 3.0)], ids=str)
     @pytest.mark.parametrize("start", [0, 5, 517])
     def test_a_rekeyed_generator_draws_as_each_stream_would(self, spec, start):
-        # The simulator draws a chunk from one generator re-keyed per replicate,
-        # several groups each; Student-t interleaves normal and gamma draws.
-        seed = derive_seed(7, start)
-        streams = range(start, start + 9)
-        rekeyed = [[draw(spec, n, rng) for n in (3, 8, 5)] for rng in _stream_generators(seed, streams)]
-        alone = [[draw(spec, n, rng) for n in (3, 8, 5)] for rng in (RngStream(seed, s).generator() for s in streams)]
-        for got, want in zip(rekeyed, alone):
-            assert all(np.array_equal(g, w, equal_nan=True) for g, w in zip(got, want))
+        # The simulator fills a chunk's rows from one generator re-keyed per replicate,
+        # one call per row (per group and piece for Student-t); each row must hold the
+        # bits of one draw per group from that replicate's own stream.
+        seed, sizes, rows = derive_seed(11, start), (2, 7, 4), 512
+        streams = range(start, start + rows)
+
+        def per_group(draw_group, generators):
+            return np.array([np.concatenate([draw_group(spec, n, rng) for n in sizes]) for rng in generators])
+
+        with np.errstate(divide="ignore"):  # a t variate over a chi-squared draw that underflowed to 0
+            chunk = _draw_rows(spec, sizes, rows, _stream_generators(seed, streams))
+            rekeyed = per_group(draw, _stream_generators(seed, streams))
+            alone = per_group(draw, (RngStream(seed, s).generator() for s in streams))
+            reference = per_group(_sized_draw, (RngStream(seed, s).generator() for s in streams))
+        assert chunk.shape == (rows, sum(sizes))
+        assert chunk.tobytes() == rekeyed.tobytes() == alone.tobytes() == reference.tobytes()
+        if spec.shape == 0.02:  # the rows a t draw at a tiny df makes non-finite are covered too
+            assert not np.isfinite(chunk).all()
 
     def test_key_validation(self):
         with pytest.raises(ValidationError):

@@ -1,7 +1,7 @@
 """Simulation harness: determinism, tallies, label grammar, and grids."""
 
-import concurrent.futures
 import math
+import os
 
 import pytest
 
@@ -10,6 +10,7 @@ from vartests import (
     PreliminaryLevelWarning,
     Scenario,
     ValidationError,
+    cli,
     compile_test_label,
     derive_seed,
     power_ordering_grid,
@@ -32,6 +33,10 @@ def null_scenario(**overrides):
     )
     settings.update(overrides)
     return Scenario(**settings)
+
+
+def _tallies(report):
+    return [(c.scenario.name, c.test, c.rejections, c.error_count) for c in report.cells]
 
 
 class TestLabels:
@@ -147,17 +152,31 @@ class TestDeterminism:
             (c.rejections, c.error_count) for c in b.cells
         ]
 
-    def test_pool_size_is_capped_by_chunks_and_cpus(self, monkeypatch):
+    def test_worker_count_is_capped_by_replicates_and_cpus(self, monkeypatch):
+        # Every fork fails, so each run counts its workers and then runs their spans here.
         one_chunk = null_scenario(replications=400)
         three_chunks = null_scenario(name="three", replications=1300)
-        monkeypatch.setattr(sim, "_usable_cpus", lambda: 8)
-        assert sim._pool_size((one_chunk,), 5000) == 1
-        assert sim._pool_size((one_chunk, three_chunks), 5000) == 3
-        assert sim._pool_size((three_chunks,), 2) == 2
-        monkeypatch.setattr(sim, "_usable_cpus", lambda: 2)
-        assert sim._pool_size((three_chunks,), 5000) == 2
-        monkeypatch.setattr(sim, "_usable_cpus", lambda: 1)
-        assert sim._pool_size((three_chunks,), 5000) == 1
+        forks = []
+
+        def no_fork():
+            forks.append(None)
+            raise OSError("no process to spare")
+
+        cases = [  # (usable CPUs, scenarios, --workers, forks)
+            (8, (one_chunk,), 5000, 0),
+            (8, (one_chunk, three_chunks), 5000, 4),  # ceil(1700 / 512) replicate chunks
+            (8, (three_chunks,), 2, 2),
+            (2, (three_chunks,), 5000, 2),
+            (1, (three_chunks,), 5000, 0),
+        ]
+        for cpus, scenarios, workers, want in cases:
+            in_process = _tallies(run_grid(scenarios))
+            with monkeypatch.context() as mp:
+                mp.setattr(sim, "_usable_cpus", lambda: cpus)
+                mp.setattr(os, "fork", no_fork)
+                forks.clear()
+                assert _tallies(run_grid(scenarios, workers=workers)) == in_process
+            assert len(forks) == want, (cpus, workers)
 
     def test_usable_cpus_follow_the_affinity_mask_else_the_cpu_count(self, monkeypatch):
         monkeypatch.setattr(sim.os, "sched_getaffinity", lambda pid: {0, 3}, raising=False)
@@ -168,18 +187,88 @@ class TestDeterminism:
         monkeypatch.setattr(sim.os, "cpu_count", lambda: None)
         assert sim._usable_cpus() == 1
 
-    def test_capped_pool_of_one_runs_in_process(self, monkeypatch):
-        def no_pool(*args, **kwargs):
-            raise AssertionError("a single chunk must not start a process pool")
+    def test_at_most_one_chunk_of_replicates_in_all_forks_nothing(self, monkeypatch):
+        def no_fork():
+            raise AssertionError("512 replicates or fewer must run in this process")
 
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
-        report = run_grid((null_scenario(),), workers=5000)
-        assert [c.replications for c in report.cells] == [400, 400]
+        monkeypatch.setattr(sim, "_usable_cpus", lambda: 8)
+        monkeypatch.setattr(os, "fork", no_fork)
+        # like the benchmark's set-up command: one replicate per scenario
+        one_each = [null_scenario(name=f"s{i}", replications=1) for i in range(3)]
+        assert [c.replications for c in run_grid(one_each, workers=2).cells] == [1] * 6
+        split = [null_scenario(name="a", replications=300), null_scenario(name="b", replications=212)]
+        assert [c.replications for c in run_grid(split, workers=5000).cells] == [300, 300, 212, 212]
+
+    def test_one_chunk_scenarios_are_dealt_to_forked_workers(self, monkeypatch, tmp_path):
+        # table1 at 250 replicates: 12 one-chunk scenarios, 3,000 replicates in all.
+        real_fork, forks = os.fork, []
+
+        def counted_fork():
+            pid = real_fork()
+            if pid:
+                forks.append(pid)
+            return pid
+
+        monkeypatch.setattr(sim, "_usable_cpus", lambda: 2)
+        monkeypatch.setattr(os, "fork", counted_fork)
+        outputs = []
+        for workers in ("1", "2"):
+            out = tmp_path / f"w{workers}.csv"
+            argv = ["simulate", "--grid", "table1", "--seed", "7", "--reps", "250", "--workers", workers]
+            assert cli.main([*argv, "--out", str(out)]) == 0
+            outputs.append(out.read_bytes())
+        assert len(forks) == 2
+        assert outputs[0] == outputs[1]
 
     def test_different_seeds_differ(self):
         a = run_grid((null_scenario(),))
         b = run_grid((null_scenario(master_seed=999),))
         assert [c.rejections for c in a.cells] != [c.rejections for c in b.cells]
+
+
+class TestWorkerFaults:
+    """A worker that dies or raises leaves the CLI's exit contract and output as at one worker."""
+
+    def _simulate(self, tmp_path, workers, capfd):
+        out = tmp_path / f"w{workers}.csv"
+        argv = ["simulate", "--grid", "table1", "--seed", "3", "--reps", "60", "--workers", workers, "--out", str(out)]
+        code = cli.main(argv)
+        return code, out.read_bytes() if code == 0 else None, capfd.readouterr().err
+
+    def test_a_worker_that_leaves_before_writing_gives_the_one_worker_cells(self, tmp_path, monkeypatch, capfd):
+        parent, run_spans = os.getpid(), sim._run_spans
+
+        def leave_in_workers(spans):
+            if os.getpid() != parent:
+                os._exit(0)
+            return run_spans(spans)
+
+        monkeypatch.setattr(sim, "_usable_cpus", lambda: 2)
+        monkeypatch.setattr(sim, "_run_spans", leave_in_workers)
+        one = self._simulate(tmp_path, "1", capfd)
+        two = self._simulate(tmp_path, "2", capfd)
+        assert one == two
+        assert one[0] == 0 and one[2] == ""
+
+    @pytest.mark.parametrize("error, code", [(ValidationError, 2), (ArithmeticError, 3)])
+    def test_an_error_raised_in_a_worker_is_the_one_worker_error(self, tmp_path, monkeypatch, capfd, error, code):
+        # 12 one-chunk spans dealt to two workers: span 5 goes to the second,
+        # span 8 to the first, and span 5 comes first in scenario order.
+        names = [s.name for s in table1_grid(3, 60)]
+        failing = {names[5]: "first", names[8]: "second"}
+        run_span = sim._run_span
+
+        def raising(scenario, start, stop):
+            if scenario.name in failing:
+                raise error(f"span of {scenario.name} fails {failing[scenario.name]}")
+            return run_span(scenario, start, stop)
+
+        monkeypatch.setattr(sim, "_usable_cpus", lambda: 2)
+        monkeypatch.setattr(sim, "_run_span", raising)
+        one = self._simulate(tmp_path, "1", capfd)
+        two = self._simulate(tmp_path, "2", capfd)
+        assert one == two
+        assert one == (code, None, f"error: span of {names[5]} fails first\n")
 
 
 class TestTallies:
