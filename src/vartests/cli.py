@@ -33,7 +33,7 @@ from .errors import DegenerateDataError, ValidationError
 from .means import AdaptiveConfig, adaptive_anova, anova_f, welch_anova
 from .numerics import derive_seed
 from .samples import CENTERS, MEAN, CenterKind, GroupedSample
-from .sim import Scenario, SimulationReport, _usable_cpus, compile_test_label, power_ordering_grid, run_grid, table1_grid
+from .sim import Scenario, SimulationReport, _usable_cpus, power_ordering_grid, run_grid, table1_grid
 from .spread import CORRECTIONS, TestResult, _analyzed_deviations, _check_correction, as_correction
 from .spread import bartlett_m, box_anderson_b3, levene_test
 from .trend import SIDES, trend_test

@@ -15,18 +15,17 @@ import math
 import os
 import pickle
 import time
-import warnings
 from dataclasses import dataclass, field
 from typing import Callable, Sequence, Union
 
 import numpy as np
 
 from .errors import DegenerateDataError, ValidationError
-from .means import AdaptiveConfig, PreliminaryLevelWarning, _welch, adaptive_anova, anova_f, welch_anova
+from .means import AdaptiveConfig, _welch
 from .numerics import CHI_SQUARED, STUDENT_T, DistributionSpec, _draw_rows, _stream_generators, chi_sq_sf, derive_seed, f_sf
-from .samples import CenterKind, GroupedSample, _abs_deviations, _hines_hines, _obrien, as_center_kind
-from .spread import _bartlett, _box_anderson, _one_way_f, as_correction, bartlett_m, box_anderson_b3, levene_test
-from .trend import ScoreSet, _side_p_values, _trend_slope, as_side, trend_test
+from .samples import CenterKind, _abs_deviations, _hines_hines, _obrien, as_center_kind
+from .spread import _MIN_GROUP_SIZE, _bartlett, _box_anderson, _check_correction, _one_way_f, as_correction
+from .trend import ScoreSet, _side_p_values, _trend_slope, as_side
 
 __all__ = [
     "Scenario", "CellResult", "SimulationReport", "compile_test_label", "run_grid", "table1_grid",
@@ -77,7 +76,7 @@ def _draw_chunk(scenario: "Scenario", start: int, stop: int) -> _Chunk:
     """Replicates ``start``..``stop - 1``, each drawn from its own ``RngStream(master_seed, rep)`` as if alone."""
     sizes = scenario.group_sizes
     generators = _stream_generators(scenario.master_seed, range(start, stop))
-    errors = _draw_rows(_base_distribution(scenario.distribution), sizes, stop - start, generators)
+    errors = _draw_rows(scenario._distribution_spec, sizes, stop - start, generators)
     scales = zip(sizes, np.cumsum(sizes), scenario.sigma_ratios, scenario.mean_shifts)
     return _Chunk([errors[:, end - n : end] * ratio + shift for n, end, ratio, shift in scales])
 
@@ -130,20 +129,20 @@ def _adaptive_rows(chunk: _Chunk, config: AdaptiveConfig):
     return faults, p_values
 
 
-# Each plain test's p-value on one sample, and its chunk runner.
+# Each plain test's chunk runner.
 _PLAIN_TESTS = {
-    "anova": (lambda s: anova_f(s).p_value, lambda c: _f_rows(_one_way_f, c)),
-    "welch": (lambda s: welch_anova(s).p_value, lambda c: _f_rows(_welch, c)),
-    "bartlett": (lambda s: bartlett_m(s).p_value, lambda c: _chi_sq_rows(_bartlett, c)),
-    "box-anderson": (lambda s: box_anderson_b3(s).p_value, lambda c: _chi_sq_rows(_box_anderson, c)),
+    "anova": functools.partial(_f_rows, _one_way_f),
+    "welch": functools.partial(_f_rows, _welch),
+    "bartlett": functools.partial(_chi_sq_rows, _bartlett),
+    "box-anderson": functools.partial(_chi_sq_rows, _box_anderson),
 }
 
 # The tests that take ``:CENTER[:OPTION]``, with their default option.
 _OPTION_DEFAULTS = {"levene": "none", "trend": "increasing", "adaptive": "0.15"}
 
 
-def compile_test_label(label: str) -> tuple[str, Callable[[GroupedSample], float]]:
-    """Turn a test label into its canonical form and a p-value function.
+def compile_test_label(label: str) -> str:
+    """Turn a test label into its canonical form.
 
     Grammar::
 
@@ -155,18 +154,18 @@ def compile_test_label(label: str) -> tuple[str, Callable[[GroupedSample], float
     The canonical form always spells the defaults out, so e.g.
     ``levene`` canonicalizes to ``levene:median:none``.
     """
-    return _compile(label)[:2]
+    return _compile(label)[0]
 
 
-def _compile(label: str) -> tuple[str, Callable[[GroupedSample], float], Callable]:
-    """``compile_test_label``'s pair, and the label's chunk runner."""
+def _compile(label: str) -> tuple[str, Callable, int]:
+    """The canonical label, its chunk runner and the smallest group size the test takes."""
     if not isinstance(label, str) or not label.strip():
         raise ValidationError(f"test label must be a non-empty string, got {label!r}")
     name, *args = (piece.strip() for piece in label.strip().split(":"))
     if name in _PLAIN_TESTS:
         if args:
             raise ValidationError(f"test {name!r} does not take parameters, got {label!r}")
-        return (name, *_PLAIN_TESTS[name])
+        return name, _PLAIN_TESTS[name], 2
     if name not in _OPTION_DEFAULTS:
         raise ValidationError(f"unknown test {name!r} in label {label!r}")
     if len(args) > 2:
@@ -176,26 +175,26 @@ def _compile(label: str) -> tuple[str, Callable[[GroupedSample], float], Callabl
     option = args[1] if len(args) > 1 else _OPTION_DEFAULTS[name]
     if name == "levene":
         corr = as_correction(option)
-        scalar = lambda s: levene_test(s, kind, corr).p_value
-        return f"levene:{kind.name}:{corr}", scalar, lambda c: _levene_rows(c, kind, corr)
+        _check_correction(kind, corr)
+        runner = functools.partial(_levene_rows, kind=kind, correction=corr)
+        return f"levene:{kind.name}:{corr}", runner, _MIN_GROUP_SIZE[corr]
     if name == "trend":
         side = as_side(option)
-        scalar = lambda s: trend_test(s, None, kind).p_value(side)
-        return f"trend:{kind.name}:{side}", scalar, lambda c: _trend_rows(c, kind, side)
+        return f"trend:{kind.name}:{side}", functools.partial(_trend_rows, kind=kind, side=side), 2
     try:
         level = float(option)
     except ValueError:
         raise ValidationError(f"bad level in test label {label!r}") from None
     config = AdaptiveConfig(preliminary_level=level, preliminary_center=kind)
-    scalar = lambda s: adaptive_anova(s, config).final.p_value
-    return f"adaptive:{kind.name}:{level!r}", scalar, lambda c: _adaptive_rows(c, config)
+    return f"adaptive:{kind.name}:{level!r}", functools.partial(_adaptive_rows, config=config), 2
 
 
-def _compile_quietly(labels: Sequence[str]):
-    # The label's own compile already warned once at scenario construction.
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", PreliminaryLevelWarning)
-        return [_compile(label) for label in labels]
+def _converted(convert, values) -> tuple:
+    """``convert`` applied to each value; a value it refuses raises a ``ValidationError`` with its message."""
+    try:
+        return tuple(map(convert, values))
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ValidationError(str(exc)) from None
 
 
 @dataclass(frozen=True)
@@ -206,7 +205,7 @@ class Scenario:
     ``exponential``, ``student-t[:df]``, ``chi-squared[:df]``); group i
     observes ``mean_shifts[i] + sigma_ratios[i] * error``.  ``tests``
     are labels in the ``compile_test_label`` grammar and are stored in
-    canonical form.
+    canonical form; each is compiled once, here, to its chunk runner.
     """
 
     name: str
@@ -218,12 +217,17 @@ class Scenario:
     nominal_level: float
     replications: int
     master_seed: int
+    # The parsed distribution, and each test's ``_compile`` triple.
+    _distribution_spec: DistributionSpec = field(init=False, repr=False, compare=False)
+    _compiled: tuple[tuple[str, Callable, int], ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not isinstance(self.name, str) or not self.name:
             raise ValidationError(f"scenario name must be a non-empty string, got {self.name!r}")
-        _base_distribution(self.distribution)
-        sizes = tuple(int(n) for n in self.group_sizes)
+        object.__setattr__(self, "_distribution_spec", _base_distribution(self.distribution))
+        sizes = _converted(int, self.group_sizes)
+        if any(not isinstance(v, str) and v != n for v, n in zip(self.group_sizes, sizes)):  # int() truncates
+            raise ValidationError(f"scenario {self.name!r} group sizes must be whole numbers, got {self.group_sizes!r}")
         if len(sizes) < 2:
             raise ValidationError(f"scenario {self.name!r} needs at least 2 groups")
         if any(n < 2 for n in sizes):
@@ -234,7 +238,7 @@ class Scenario:
         # One float per group, each finite and above the floor.
         per_group = (("sigma_ratios", 0.0, "positive and finite"), ("mean_shifts", -math.inf, "finite"))
         for field_name, floor, rule in per_group:
-            values = tuple(float(v) for v in getattr(self, field_name))
+            values = _converted(float, getattr(self, field_name))
             what = field_name.replace("_", " ")
             if len(values) != len(sizes):
                 raise ValidationError(f"scenario {self.name!r} has {len(values)} {what} for {len(sizes)} groups")
@@ -243,20 +247,22 @@ class Scenario:
             object.__setattr__(self, field_name, values)
         if not self.tests:
             raise ValidationError(f"scenario {self.name!r} lists no tests")
-        canonical = tuple(compile_test_label(label)[0] for label in self.tests)
+        object.__setattr__(self, "_compiled", _converted(_compile, self.tests))
+        canonical = tuple(label for label, _, _ in self._compiled)
         if len(set(canonical)) != len(canonical):
             raise ValidationError(f"scenario {self.name!r} lists duplicate tests {canonical!r}")
         object.__setattr__(self, "tests", canonical)
-        if not 0.0 < float(self.nominal_level) < 1.0:
+        (level,) = _converted(float, (self.nominal_level,))
+        if not 0.0 < level < 1.0:
             raise ValidationError(
                 f"scenario {self.name!r} nominal level must lie in (0, 1), got {self.nominal_level!r}"
             )
-        object.__setattr__(self, "nominal_level", float(self.nominal_level))
-        if not isinstance(self.replications, int) or self.replications < 1:
+        object.__setattr__(self, "nominal_level", level)
+        if not isinstance(self.replications, int) or isinstance(self.replications, bool) or self.replications < 1:
             raise ValidationError(
                 f"scenario {self.name!r} replications must be a positive integer, got {self.replications!r}"
             )
-        if not isinstance(self.master_seed, int) or not 0 <= self.master_seed < 2**64:
+        if not isinstance(self.master_seed, int) or isinstance(self.master_seed, bool) or not 0 <= self.master_seed < 2**64:
             raise ValidationError(
                 f"scenario {self.name!r} master seed must be an integer in [0, 2**64), got {self.master_seed!r}"
             )
@@ -338,7 +344,7 @@ def _run_span(scenario: Scenario, start: int, stop: int) -> list[tuple[int, int,
     with np.errstate(all="ignore"):
         chunk = _draw_chunk(scenario, start, stop)
         tallies = []
-        for test, (_, _, runner) in zip(scenario.tests, _compile_quietly(scenario.tests)):
+        for test, runner, _ in scenario._compiled:
             try:
                 p_values, bad, too_large, message = _outcomes(chunk, *runner(chunk))
             except ValidationError as exc:
@@ -346,20 +352,6 @@ def _run_span(scenario: Scenario, start: int, stop: int) -> list[tuple[int, int,
             rejections = int(np.count_nonzero(p_values < scenario.nominal_level))
             tallies.append((rejections, int(bad.sum()), int(too_large.sum()), message))
     return tallies
-
-
-def _dry_run(scenario: Scenario) -> None:
-    # Surface configuration errors (e.g. groups too small for a test)
-    # before spending replicates; degenerate draws are the tests' business.
-    groups = ((f"g{i + 1}", 0.25 + 0.5 * np.arange(n, dtype=float) ** 1.5) for i, n in enumerate(scenario.group_sizes))
-    probe = GroupedSample(tuple(groups))
-    for test, (_, runner, _) in zip(scenario.tests, _compile_quietly(scenario.tests)):
-        try:
-            runner(probe)
-        except DegenerateDataError:
-            pass
-        except ValidationError as exc:
-            raise ValidationError(f"scenario {scenario.name!r}: test {test!r}: {exc}") from None
 
 
 def _usable_cpus() -> int:
@@ -401,15 +393,19 @@ def run_grid(scenarios: Sequence[Scenario], workers: int = 1) -> SimulationRepor
     workers: worker r runs spans r, r + count, ...  A lone worker's spans,
     and those of a worker that dies or does not start, run here.
     """
-    if not isinstance(workers, int) or workers < 1:
+    if not isinstance(workers, int) or isinstance(workers, bool) or workers < 1:
         raise ValidationError(f"workers must be a positive integer, got {workers!r}")
     names = [s.name for s in scenarios]
     if len(set(names)) != len(names):
         raise ValidationError(f"scenario names must be unique, got {sorted(names)!r}")
     if not scenarios:
         raise ValidationError("no scenarios to run")
-    for scenario in scenarios:
-        _dry_run(scenario)
+    for scenario in scenarios:  # a configuration error comes before any replicate is drawn
+        for test, _, minimum in scenario._compiled:
+            for i, n in enumerate(scenario.group_sizes):
+                if n < minimum:
+                    message = f"group 'g{i + 1}' has size {n}; this test needs at least {minimum}"
+                    raise ValidationError(f"scenario {scenario.name!r}: test {test!r}: {message}")
     started = time.perf_counter()
     spans = [(s, lo, min(lo + _CHUNK, s.replications)) for s in scenarios for lo in range(0, s.replications, _CHUNK)]
     count = min(workers, math.ceil(sum(s.replications for s in scenarios) / _CHUNK), _usable_cpus())

@@ -26,6 +26,8 @@ __all__ = [
 ]
 
 CORRECTIONS = ("none", "hines-hines", "obrien")
+# The smallest group a Levene test takes with each correction: Hines-Hines drops a deviation per group.
+_MIN_GROUP_SIZE = {"none": 2, "hines-hines": 3, "obrien": 2}
 
 
 @dataclass(frozen=True)
@@ -113,7 +115,7 @@ def levene_test(
     """
     kind = as_center_kind(center)
     corr = as_correction(correction)
-    _require_group_size(sample, 3 if corr == "hines-hines" else 2)
+    _require_group_size(sample, _MIN_GROUP_SIZE[corr])
     _check_correction(kind, corr)
     dev = _analyzed_deviations(sample, kind, corr)
     statistic, df1, df2 = _one_replicate(_one_way_f, dev.values, dev.labels)

@@ -13,14 +13,22 @@ from hypothesis import strategies as st
 
 import vartests.sim as sim
 from vartests import (
+    AdaptiveConfig,
     DegenerateDataError,
     GroupedSample,
     Scenario,
     ValidationError,
+    adaptive_anova,
+    anova_f,
+    bartlett_m,
+    box_anderson_b3,
     derive_seed,
+    levene_test,
     power_ordering_grid,
     run_grid,
     table1_grid,
+    trend_test,
+    welch_anova,
 )
 from vartests.samples import CENTERS
 from vartests.spread import CORRECTIONS
@@ -59,12 +67,27 @@ def _row(kind, sizes, rng):
     return groups
 
 
-def _scalar_outcome(runner, groups):
+# The public function behind each test name, called with the label's
+# center and option: the reference, read from the label independently of
+# the simulator's parser.
+_LIBRARY = {
+    "anova": lambda s: anova_f(s).p_value,
+    "welch": lambda s: welch_anova(s).p_value,
+    "bartlett": lambda s: bartlett_m(s).p_value,
+    "box-anderson": lambda s: box_anderson_b3(s).p_value,
+    "levene": lambda s, center, correction: levene_test(s, center, correction).p_value,
+    "trend": lambda s, center, side: trend_test(s, None, center).p_value(side),
+    "adaptive": lambda s, center, level: adaptive_anova(s, AdaptiveConfig(float(level), center)).final.p_value,
+}
+
+
+def _scalar_outcome(label, groups):
     """A p-value, or the kind of failure, from the library's call on one replicate."""
     if not all(np.isfinite(g).all() for g in groups):
         return "degenerate"
+    name, *options = label.split(":")
     try:
-        return runner(GroupedSample(tuple((f"g{i + 1}", g) for i, g in enumerate(groups))))
+        return _LIBRARY[name](GroupedSample(tuple((f"g{i + 1}", g) for i, g in enumerate(groups))), *options)
     except DegenerateDataError:
         return "degenerate"
     except ValidationError:
@@ -82,13 +105,13 @@ def test_a_chunk_gives_the_bits_of_one_call_per_replicate(sizes, kinds, seed):
     rows = [_row(kind, sizes, rng) for kind in kinds]
     for label in LABELS:
         if label.endswith("hines-hines") and min(sizes) < 3:
-            continue  # a configuration error, which the dry run reports before any replicate
-        _, scalar, runner = sim._compile(label)
+            continue  # a configuration error, which run_grid reports before any replicate is drawn
+        runner = sim._compile(label)[1]
         with np.errstate(all="ignore"):  # as in the simulator
             chunk = sim._Chunk([np.array([row[g] for row in rows]) for g in range(len(sizes))])
             p_values, bad, too_large, _ = sim._outcomes(chunk, *runner(chunk))
         batched = ["too large" if big else "degenerate" if b else p for p, b, big in zip(p_values, bad, too_large)]
-        expected = [_scalar_outcome(scalar, row) for row in rows]
+        expected = [_scalar_outcome(label, row) for row in rows]
         assert batched == expected, f"{label} on rows {kinds}"
 
 

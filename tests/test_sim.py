@@ -2,6 +2,7 @@
 
 import math
 import os
+import warnings
 
 import pytest
 
@@ -41,17 +42,17 @@ def _tallies(report):
 
 class TestLabels:
     def test_bare_and_canonical(self):
-        assert compile_test_label("anova")[0] == "anova"
-        assert compile_test_label("welch")[0] == "welch"
-        assert compile_test_label("bartlett")[0] == "bartlett"
-        assert compile_test_label("box-anderson")[0] == "box-anderson"
-        assert compile_test_label("levene")[0] == "levene:median:none"
-        assert compile_test_label("levene:mean")[0] == "levene:mean:none"
-        assert compile_test_label("levene:median:hines-hines")[0] == "levene:median:hines-hines"
-        assert compile_test_label("trend")[0] == "trend:median:increasing"
-        assert compile_test_label("trend:trimmed:two-sided")[0] == "trend:trimmed:two-sided"
-        assert compile_test_label("adaptive")[0] == "adaptive:median:0.15"
-        assert compile_test_label("adaptive:mean:0.25")[0] == "adaptive:mean:0.25"
+        assert compile_test_label("anova") == "anova"
+        assert compile_test_label("welch") == "welch"
+        assert compile_test_label("bartlett") == "bartlett"
+        assert compile_test_label("box-anderson") == "box-anderson"
+        assert compile_test_label("levene") == "levene:median:none"
+        assert compile_test_label("levene:mean") == "levene:mean:none"
+        assert compile_test_label("levene:median:hines-hines") == "levene:median:hines-hines"
+        assert compile_test_label("trend") == "trend:median:increasing"
+        assert compile_test_label("trend:trimmed:two-sided") == "trend:trimmed:two-sided"
+        assert compile_test_label("adaptive") == "adaptive:median:0.15"
+        assert compile_test_label("adaptive:mean:0.25") == "adaptive:mean:0.25"
 
     def test_rejects_bad_labels(self):
         for bad in (
@@ -70,19 +71,6 @@ class TestLabels:
         ):
             with pytest.raises(ValidationError):
                 compile_test_label(bad)
-
-    def test_runners_return_pvalues(self):
-        import numpy as np
-
-        from vartests import GroupedSample
-
-        rng = np.random.default_rng(42)
-        sample = GroupedSample(tuple((f"g{i}", rng.normal(size=12)) for i in range(3)))
-        for label in ("anova", "welch", "bartlett", "box-anderson", "levene:mean:obrien",
-                      "trend:mean:decreasing", "adaptive:median:0.15"):
-            _, runner = compile_test_label(label)
-            p = runner(sample)
-            assert 0.0 <= p <= 1.0
 
     def test_nonstandard_adaptive_level_warns_once_at_compile(self):
         with pytest.warns(PreliminaryLevelWarning):
@@ -126,6 +114,71 @@ class TestScenarioValidation:
             null_scenario(distribution="normal:3")
         with pytest.raises(ValidationError):
             null_scenario(distribution="student-t:abc")
+
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            dict(group_sizes=("a", 8, 8)),
+            dict(group_sizes=(5.7, 8, 8)),
+            dict(group_sizes=8),
+            dict(sigma_ratios=("x", 1.0, 1.0)),
+            dict(sigma_ratios=3),
+            dict(mean_shifts=(None, 0.0, 0.0)),
+            dict(nominal_level="abc"),
+            dict(replications=True),
+            dict(master_seed=True),
+            dict(tests=5),
+            dict(tests=("levene:mean:hines-hines",)),
+        ],
+        ids=repr,
+    )
+    def test_malformed_values_raise_validation_error(self, overrides):
+        with pytest.raises(ValidationError):
+            null_scenario(**overrides)
+
+    def test_a_piece_that_does_not_convert_keeps_the_converters_message(self):
+        with pytest.raises(ValidationError, match="^could not convert string to float: 'y'$"):
+            null_scenario(sigma_ratios=("1", "y", "1"))
+        assert null_scenario(group_sizes=("8", 8.0, 8)).group_sizes == (8, 8, 8)
+
+    @pytest.mark.parametrize("workers", [0, True, 2.0])
+    def test_run_grid_rejects_a_worker_count_that_is_not_a_positive_int(self, workers):
+        with pytest.raises(ValidationError):
+            run_grid((null_scenario(),), workers=workers)
+
+    @pytest.mark.parametrize("sizes, group", [((2, 8, 8), "g1"), ((2, 5, 9), "g1"), ((8, 8, 2), "g3")])
+    def test_configuration_errors_come_before_any_draw(self, monkeypatch, sizes, group):
+        # The chunk path alone scores groups of 2 under Hines-Hines without complaint.
+        def no_draw(*args):
+            raise AssertionError("a replicate was drawn")
+
+        monkeypatch.setattr(sim, "_draw_chunk", no_draw)
+        fine = null_scenario(name="fine")
+        bad = null_scenario(name="bad", group_sizes=sizes, tests=("anova", "levene:median:hines-hines"))
+        message = f"scenario 'bad': test 'levene:median:hines-hines': group '{group}' has size 2; this test needs at least 3"
+        for workers in (1, 2):
+            with pytest.raises(ValidationError) as caught:
+                run_grid((fine, bad), workers=workers)
+            assert str(caught.value) == message
+
+    def test_each_label_is_compiled_once_per_scenario(self, monkeypatch):
+        compiled, compile_label = [], sim._compile
+
+        def counted(label):
+            compiled.append(label)
+            return compile_label(label)
+
+        monkeypatch.setattr(sim, "_compile", counted)
+        tests = ("adaptive:median:0.5", "levene:median:hines-hines", "trend")
+        with pytest.warns(PreliminaryLevelWarning) as caught:
+            sc = null_scenario(tests=tests, replications=1300)
+        assert len(caught) == 1
+        assert compiled == list(tests)
+        for workers in (1, 2):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                run_grid((sc,), workers=workers)
+        assert compiled == list(tests)
 
     def test_too_small_groups_for_label_fail_fast(self):
         # Hines-Hines needs n >= 3; the scenario should fail at submission,
