@@ -92,14 +92,15 @@ def _read_columns(handle: TextIO, path: str) -> tuple[list[str], np.ndarray, np.
     """The labels, each row's group code and the values of an open dataset file.
 
     A large plain file is read in parts, one per usable CPU (see
-    ``_read_parts``).  Otherwise the file is read in blocks of about
-    ``_BLOCK_CHARS`` characters that end at a line break.  A block of
-    plain lines (no quote, no stray carriage return, exactly one field per
-    header column on every line) is split and converted in bulk.  From the
-    first block that is not plain, or that holds an empty label or a value
-    that is not a finite float, the rest of the file goes through the csv
-    row loop: it handles quoted fields and names the physical line of a
-    bad row.
+    ``_read_parts``), up to the first block of lines that is not plain;
+    the rest of the file is read on from there as below.  Otherwise the
+    file is read in blocks of about ``_BLOCK_CHARS`` characters that end
+    at a line break.  A block of plain lines (no quote, no stray carriage
+    return, exactly one field per header column on every line) is split
+    and converted in bulk.  From the first block that is not plain, or
+    that holds an empty label or a value that is not a finite float, the
+    rest of the file goes through the csv row loop: it handles quoted
+    fields and names the physical line of a bad row.
     """
     header_reader = csv.reader(handle)
     header = next(header_reader, [])
@@ -110,12 +111,16 @@ def _read_columns(handle: TextIO, path: str) -> tuple[list[str], np.ndarray, np.
     group_at = len(header) - 1 - header[::-1].index("group")
     value_at = len(header) - 1 - header[::-1].index("value")
     lines_read = header_reader.line_num
-    in_parts = _read_parts(handle.fileno(), len(header), group_at, value_at) if lines_read == 1 else None
-    if in_parts is not None:
-        return in_parts
-    codes: dict[str, int] = {}
     labels: dict[str, int] = {}
     blocks = [(np.empty(0, np.uint32), np.empty(0))]
+    in_parts = _read_parts(handle.fileno(), len(header), group_at, value_at) if lines_read == 1 else None
+    if in_parts is not None:  # a plain block holds no blank line: one line per row
+        part_labels, part_blocks, stop = in_parts
+        labels = {label: code for code, label in enumerate(part_labels)}
+        blocks += part_blocks
+        lines_read += sum(c.size for c, _ in part_blocks)
+        handle.seek(stop)
+    codes = dict(labels)
     while True:
         text = handle.read(_BLOCK_CHARS)
         if not text:
@@ -132,17 +137,20 @@ def _read_columns(handle: TextIO, path: str) -> tuple[list[str], np.ndarray, np.
     return list(labels), *(np.concatenate(column) for column in zip(*blocks))
 
 
-def _read_parts(fd: int, width: int, group_at: int, value_at: int) -> tuple[list[str], np.ndarray, np.ndarray] | None:
-    """The columns of a large plain file, parsed in parts by forked processes, or None to read it serially.
+def _read_parts(
+    fd: int, width: int, group_at: int, value_at: int
+) -> tuple[list[str], list[tuple[np.ndarray, np.ndarray]], int] | None:
+    """The plain rows at the start of a large file, parsed in parts by forked processes, or None to read it serially.
 
     The data bytes of a regular file, after a header that ends at its
     first line feed, are cut into one part per usable CPU, each at least
     ``_MIN_PART_BYTES`` long, and every part is parsed in blocks by
-    ``_parse_plain_block`` (see ``_parts.read``).  The columns are those
-    the serial reader returns.  A part that is not plain (or not UTF-8), a
-    worker that fails, a file too small to split and a platform without
-    ``fork`` all give None: then the serial reader, whose errors name the
-    physical line, reads the file from its first data row.
+    ``_parse_plain_block`` (see ``_parts.read``).  Gives the labels and
+    the blocks of codes and values up to the first block that is not
+    plain, and the byte offset of that block (the file size if none).  A
+    worker that fails or does not start (as on a platform without
+    ``fork``) counts as stopping at its part's first byte.  Any other
+    file, or one too small to split, gives None.
     """
     status = os.fstat(fd)
     if not stat.S_ISREG(status.st_mode):
@@ -517,7 +525,9 @@ def _parse_scenario_file(path: str, default_reps: int, grid_seed: int) -> tuple[
 
 
 def _format_ratio(value: float) -> str:
-    return format(value, "g")
+    """``format(value, "g")`` where that reads back as ``value``, else ``repr(value)``."""
+    short = format(value, "g")
+    return short if float(short) == value else repr(value)
 
 
 def write_report_csv(report: SimulationReport, path: str, grid_seed: int) -> None:

@@ -15,7 +15,7 @@ from typing import Sequence, Union
 
 import numpy as np
 
-from .errors import DegenerateDataError, ValidationError
+from .errors import DegenerateDataError, ValidationError, _converted
 from .numerics import f_sf
 from .samples import CenterKind, GroupedSample, MEDIAN, as_center_kind
 from .samples import _checked_sum, _flag, _nonzero_variances, _one_replicate, _require_group_size, _square
@@ -49,7 +49,7 @@ class AdaptiveConfig:
     preliminary_center: CenterKind = MEDIAN
 
     def __post_init__(self) -> None:
-        level = float(self.preliminary_level)
+        level = _converted(float, self.preliminary_level)
         if not 0.0 <= level < 1.0:
             raise ValidationError(f"preliminary level must lie in [0, 1), got {level!r}")
         object.__setattr__(self, "preliminary_level", level)

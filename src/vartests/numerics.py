@@ -29,7 +29,7 @@ from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import ValidationError, _converted
 
 __all__ = [
     "reg_inc_beta",
@@ -60,12 +60,16 @@ def _elementwise(core: Callable[..., np.ndarray]) -> Callable:
 
     @functools.wraps(core)
     def elementwise(*args):
-        arrays = np.broadcast_arrays(*(np.asarray(arg, dtype=float) for arg in args))
+        arrays = _converted(_broadcast_floats, args)
         with np.errstate(all="ignore"):
             out = core(*(arr.ravel() for arr in arrays))
         return float(out[0]) if arrays[0].ndim == 0 else out.reshape(arrays[0].shape)
 
     return elementwise
+
+
+def _broadcast_floats(args: Sequence) -> list[np.ndarray]:
+    return np.broadcast_arrays(*(np.asarray(arg, dtype=float) for arg in args))
 
 
 def _check(ok: np.ndarray, message: str, *columns: np.ndarray) -> None:

@@ -10,13 +10,14 @@ O'Brien / Keyes-Levy rescaling for unequal group sizes.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, replace
 from typing import Iterable, Sequence, Union
 
 import numpy as np
 
-from .errors import DegenerateDataError, ValidationError
+from .errors import DegenerateDataError, ValidationError, _converted
 
 __all__ = [
     "CENTERS", "CenterKind", "MEAN", "MEDIAN", "trimmed", "as_center_kind", "GroupedSample",
@@ -50,7 +51,7 @@ class CenterKind:
                 f"unknown center kind {self.name!r}; expected one of {', '.join(CENTERS)}"
             )
         if self.name == "trimmed":
-            proportion = 0.25 if self.trim_proportion is None else float(self.trim_proportion)
+            proportion = 0.25 if self.trim_proportion is None else _converted(float, self.trim_proportion)
             if not 0.0 <= proportion < 0.5:
                 raise ValidationError(
                     f"trim proportion must lie in [0, 0.5), got {self.trim_proportion!r}"
@@ -84,7 +85,7 @@ def as_center_kind(kind: Union[CenterKind, str]) -> CenterKind:
 def _freeze_groups(
     groups: Iterable[tuple[str, Sequence[float]]], what: str
 ) -> tuple[tuple[str, np.ndarray], ...]:
-    frozen = []
+    frozen = {}
     for entry in groups:
         try:
             label, values = entry
@@ -92,16 +93,22 @@ def _freeze_groups(
             raise ValidationError(f"{what} groups must be (label, values) pairs, got {entry!r}") from None
         if not isinstance(label, str) or not label:
             raise ValidationError(f"group labels must be non-empty strings, got {label!r}")
-        arr = np.array(values, dtype=float, copy=True).ravel()
+        if label in frozen:
+            raise ValidationError(f"group labels must be unique, got {label!r} twice")
+        if isinstance(values, (str, bytes)):
+            raise ValidationError(f"group {label!r} values must be a sequence, not the string {values!r}")
+        arr = _converted(functools.partial(np.array, dtype=float, copy=True), values)
+        if arr.ndim != 1:
+            raise ValidationError(f"group {label!r} values must be a 1-D sequence, got {arr.ndim} dimensions")
         if arr.size == 0:
             raise ValidationError(f"group {label!r} is empty")
         if not np.isfinite(arr).all():
             raise ValidationError(f"group {label!r} contains non-finite values")
         arr.setflags(write=False)
-        frozen.append((label, arr))
+        frozen[label] = arr
     if len(frozen) < 2:
         raise ValidationError(f"{what} requires at least 2 groups, got {len(frozen)}")
-    return tuple(frozen)
+    return tuple(frozen.items())
 
 
 @dataclass(frozen=True)
@@ -346,7 +353,7 @@ def expected_mean_deviation(sigma: float, n: int) -> float:
     shows directly how mean absolute deviations from a fitted group mean
     shrink as the group gets smaller.
     """
-    sigma = float(sigma)
+    sigma = _converted(float, sigma)
     if not sigma > 0.0:
         raise ValidationError(f"sigma must be positive, got {sigma!r}")
     if not isinstance(n, int) or isinstance(n, bool) or n < 1:

@@ -13,14 +13,13 @@ from __future__ import annotations
 import functools
 import math
 import os
-import pickle
 import time
 from dataclasses import dataclass, field
 from typing import Callable, Sequence, Union
 
 import numpy as np
 
-from .errors import DegenerateDataError, ValidationError
+from .errors import DegenerateDataError, ValidationError, _converted, _each_converted
 from .means import AdaptiveConfig, _welch
 from .numerics import CHI_SQUARED, STUDENT_T, DistributionSpec, _draw_rows, _stream_generators, chi_sq_sf, derive_seed, f_sf
 from .samples import CenterKind, _abs_deviations, _hines_hines, _obrien, as_center_kind
@@ -189,14 +188,6 @@ def _compile(label: str) -> tuple[str, Callable, int]:
     return f"adaptive:{kind.name}:{level!r}", functools.partial(_adaptive_rows, config=config), 2
 
 
-def _converted(convert, values) -> tuple:
-    """``convert`` applied to each value; a value it refuses raises a ``ValidationError`` with its message."""
-    try:
-        return tuple(map(convert, values))
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ValidationError(str(exc)) from None
-
-
 @dataclass(frozen=True)
 class Scenario:
     """One simulation condition: a data-generating process plus tests to run.
@@ -225,7 +216,7 @@ class Scenario:
         if not isinstance(self.name, str) or not self.name:
             raise ValidationError(f"scenario name must be a non-empty string, got {self.name!r}")
         object.__setattr__(self, "_distribution_spec", _base_distribution(self.distribution))
-        sizes = _converted(int, self.group_sizes)
+        sizes = _each_converted(int, self.group_sizes, f"scenario {self.name!r} group sizes")
         if any(not isinstance(v, str) and v != n for v, n in zip(self.group_sizes, sizes)):  # int() truncates
             raise ValidationError(f"scenario {self.name!r} group sizes must be whole numbers, got {self.group_sizes!r}")
         if len(sizes) < 2:
@@ -238,8 +229,8 @@ class Scenario:
         # One float per group, each finite and above the floor.
         per_group = (("sigma_ratios", 0.0, "positive and finite"), ("mean_shifts", -math.inf, "finite"))
         for field_name, floor, rule in per_group:
-            values = _converted(float, getattr(self, field_name))
             what = field_name.replace("_", " ")
+            values = _each_converted(float, getattr(self, field_name), f"scenario {self.name!r} {what}")
             if len(values) != len(sizes):
                 raise ValidationError(f"scenario {self.name!r} has {len(values)} {what} for {len(sizes)} groups")
             if not all(math.isfinite(v) and v > floor for v in values):
@@ -247,12 +238,12 @@ class Scenario:
             object.__setattr__(self, field_name, values)
         if not self.tests:
             raise ValidationError(f"scenario {self.name!r} lists no tests")
-        object.__setattr__(self, "_compiled", _converted(_compile, self.tests))
+        object.__setattr__(self, "_compiled", _each_converted(_compile, self.tests, f"scenario {self.name!r} tests"))
         canonical = tuple(label for label, _, _ in self._compiled)
         if len(set(canonical)) != len(canonical):
             raise ValidationError(f"scenario {self.name!r} lists duplicate tests {canonical!r}")
         object.__setattr__(self, "tests", canonical)
-        (level,) = _converted(float, (self.nominal_level,))
+        level = _converted(float, self.nominal_level)
         if not 0.0 < level < 1.0:
             raise ValidationError(
                 f"scenario {self.name!r} nominal level must lie in (0, 1), got {self.nominal_level!r}"
@@ -372,19 +363,6 @@ def _run_spans(spans: Sequence[tuple[Scenario, int, int]]) -> list:
     return outcomes
 
 
-def _send_outcomes(spans: Sequence[tuple[Scenario, int, int]], write_end: int) -> None:
-    with open(write_end, "wb", closefd=False) as out:
-        pickle.dump(_run_spans(spans), out)
-
-
-def _received(pipe) -> list | None:
-    """A worker's outcomes, or None if it did not start or its stream ends early."""
-    try:
-        return None if pipe is None else pickle.loads(pipe.readall())
-    except (EOFError, pickle.UnpicklingError):
-        return None
-
-
 def run_grid(scenarios: Sequence[Scenario], workers: int = 1) -> SimulationReport:
     """Run several scenarios and collect every (scenario, test) cell.
 
@@ -412,8 +390,8 @@ def run_grid(scenarios: Sequence[Scenario], workers: int = 1) -> SimulationRepor
     shares, received = [spans[r::count] for r in range(count)], [None]
     if count > 1:
         from . import _parts  # imported here: most runs fork nothing
-        with _parts.forked(functools.partial(_send_outcomes, share) for share in shares) as pipes:
-            received = [_received(pipe) for pipe in pipes]
+        with _parts.forked(functools.partial(_run_spans, share) for share in shares) as results:
+            received = list(results)
     outcomes: list = [None] * len(spans)
     for r, (share, got) in enumerate(zip(shares, received)):
         got = _run_spans(share) if got is None else got

@@ -17,7 +17,7 @@ from typing import Sequence, Union
 
 import numpy as np
 
-from .errors import DegenerateDataError, ValidationError
+from .errors import DegenerateDataError, ValidationError, _each_converted
 from .numerics import std_normal_sf
 from .samples import CenterKind, GroupedSample, as_center_kind, deviations
 from .samples import _checked_sum, _flag, _group_moments, _magnitude, _one_replicate, _require_group_size, _square
@@ -46,7 +46,7 @@ class ScoreSet:
     w: tuple[float, ...]
 
     def __post_init__(self) -> None:
-        w = tuple(float(value) for value in self.w)
+        w = _each_converted(float, self.w, "scores")
         if len(w) < 2:
             raise ValidationError(f"need scores for at least 2 groups, got {len(w)}")
         if not all(math.isfinite(value) for value in w):
@@ -67,7 +67,7 @@ def _as_scores(scores: Union[ScoreSet, Sequence[float], None], k: int) -> ScoreS
     if scores is None:
         return ScoreSet.linear(k)
     if not isinstance(scores, ScoreSet):
-        scores = ScoreSet(tuple(scores))
+        scores = ScoreSet(scores)
     if len(scores.w) != k:
         raise ValidationError(f"got {len(scores.w)} scores for {k} groups")
     return scores

@@ -351,6 +351,20 @@ class TestSimulateCommand:
         header = out1.read_text().splitlines()[0]
         assert header.startswith("grid_seed,scenario,distribution,group_sizes")
 
+    def test_ratios_and_shifts_are_written_as_they_read_back(self, tmp_path):
+        # format(v, "g") keeps six digits: both files wrote 1:1.23457 and 0:0.123457 before.
+        columns = []
+        for ratio, shift in (("1.23456789", "0.1234567891"), ("1.23457", "0.123457")):
+            grid = tmp_path / f"{ratio}.txt"
+            grid.write_text(
+                f"scenario = s\ngroup_sizes = 5, 5\nsigma_ratios = 1, {ratio}\nmean_shifts = 0, {shift}\n"
+                "tests = anova\nreplications = 4\n"
+            )
+            out = tmp_path / f"{ratio}.csv"
+            assert run_cli("simulate", "--grid", str(grid), "--seed", "1", "--out", str(out)).returncode == 0
+            columns.append(out.read_text().splitlines()[1].split(",")[4:6])
+        assert columns == [["1:1.23456789", "0:0.1234567891"], ["1:1.23457", "0:0.123457"]]
+
     def test_worker_count_leaves_output_unchanged(self, tmp_path):
         grid = tmp_path / "grid.txt"
         grid.write_text(

@@ -11,6 +11,7 @@ Successful readings are also checked against a plain ``csv.DictReader``
 loop with per-label buckets.
 """
 
+import contextlib
 import csv
 import os
 import subprocess
@@ -22,6 +23,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from test_parts import truncated_value
 from vartests import ValidationError, _parts, cli
 
 
@@ -197,17 +199,25 @@ def test_only_the_rest_of_the_file_takes_the_row_loop(tmp_path, monkeypatch):
 
 
 def _spy_parts(monkeypatch):
-    """Record, for each split read that joins its parts, how many workers it joined."""
-    joined = []
-    join = _parts._join
+    """Record each split read as (whether each worker gave its value, whether the plain rows reach the end)."""
+    reads = []
+    forked, read = _parts.forked, _parts.read
 
-    def spy(mine, pipes):
-        result = join(mine, pipes)
-        joined.append(None if result is None else len(pipes))
-        return result
+    @contextlib.contextmanager
+    def spy_forked(jobs):
+        with forked(jobs) as results:
+            values = list(results)
+            reads.append([value is not None for value in values])
+            yield iter(values)
 
-    monkeypatch.setattr(_parts, "_join", spy)
-    return joined
+    def spy_read(fd, start, stop, *rest):
+        labels, blocks, resume_at = read(fd, start, stop, *rest)
+        reads[-1] = (reads[-1], resume_at == stop)
+        return labels, blocks, resume_at
+
+    monkeypatch.setattr(_parts, "forked", spy_forked)
+    monkeypatch.setattr(_parts, "read", spy_read)
+    return reads
 
 
 def _rows_file(tmp_path, name, labels, newline="\n"):
@@ -220,10 +230,10 @@ def test_a_label_first_seen_in_the_last_part_keeps_its_place(tmp_path, monkeypat
     # The parts meet their labels in different orders; the file meets them as b, a, c, late.
     labels = ["b", "a"] * 40 + ["c", "a", "b"] * 20 + ["late", "c"]
     path = _rows_file(tmp_path, "late.csv", labels)
-    joined = _spy_parts(monkeypatch)
+    reads = _spy_parts(monkeypatch)
     _force_split(monkeypatch, cpus)
     split = _outcome(path)
-    assert joined == [cpus - 1]
+    assert reads == [([True] * (cpus - 1), True)]
     assert [label for label, _, _ in split] == ["b", "a", "c", "late"]
     monkeypatch.undo()
     assert split == assert_equivalent(path)
@@ -231,10 +241,10 @@ def test_a_label_first_seen_in_the_last_part_keeps_its_place(tmp_path, monkeypat
 
 def test_group_order_applies_to_the_split_reader(tmp_path, monkeypatch):
     path = _rows_file(tmp_path, "order.csv", ["b", "a", "c"] * 30)
-    joined = _spy_parts(monkeypatch)
+    reads = _spy_parts(monkeypatch)
     _force_split(monkeypatch)
     split = _outcome(path, ["c", "a", "b"])
-    assert joined == [2] and [label for label, _, _ in split] == ["c", "a", "b"]
+    assert reads == [([True, True], True)] and [label for label, _, _ in split] == ["c", "a", "b"]
     assert _outcome(path, ["a", "b"])[0] == "error"
     monkeypatch.undo()
     assert split == assert_equivalent(path, group_order=["c", "a", "b"])
@@ -280,44 +290,67 @@ def test_an_error_in_the_last_part_is_the_serial_error(tmp_path, monkeypatch, ba
     lines = [b"group,value"] + [f"g{i % 3},{i}".encode() for i in range(3000)]
     lines[2989] = bad
     path = _write(tmp_path, "late_error.csv", b"\n".join(lines) + b"\n")
-    joined = _spy_parts(monkeypatch)
+    reads = _spy_parts(monkeypatch)
     _force_split(monkeypatch)
     split = _outcome(path)
-    assert joined == [None]  # the last part is not plain: its worker sends nothing
+    assert reads == [([True, True], False)]  # the last part stops at its block that is not plain
     assert split[0] == "error" and message in split[2]
     monkeypatch.undo()
     assert split == assert_equivalent(path)
 
 
-def _raise_in_workers(parse):
+def _in_workers(parse, fault):
+    """``parse`` in this process; in a forked worker, ``fault()`` instead."""
     parent = os.getpid()
 
     def parse_part(*args):
-        if os.getpid() != parent:
-            raise RuntimeError("a worker fails")
-        return parse(*args)
+        return parse(*args) if os.getpid() == parent else fault()
 
     return parse_part
 
 
-def _truncated_stream(fd, lo, hi, block_bytes, parse_block, write_end):
-    os.write(write_end, (10).to_bytes(8, "little") + (1).to_bytes(8, "little") + b"a")
-    os._exit(0)
+def _raise():
+    raise RuntimeError("a worker fails")
 
 
-@pytest.mark.parametrize("fault", ["parser-raises", "stream-ends-early"])
+@pytest.mark.parametrize("fault", [_raise, truncated_value], ids=["parser-raises", "stream-ends-early"])
 def test_a_failing_worker_gives_the_serial_result(tmp_path, monkeypatch, capfd, fault):
     path = _rows_file(tmp_path, "plain.csv", ["a", "b", "c"] * 50)
     serial = _outcome(path)
-    if fault == "parser-raises":
-        monkeypatch.setattr(_parts, "_parse_part", _raise_in_workers(_parts._parse_part))
-    else:
-        monkeypatch.setattr(_parts, "_worker", _truncated_stream)
-    joined = _spy_parts(monkeypatch)
+    monkeypatch.setattr(_parts, "_parse_part", _in_workers(_parts._parse_part, fault))
+    reads = _spy_parts(monkeypatch)
     _force_split(monkeypatch)
     assert _outcome(path) == serial
-    assert joined == [None]
+    assert reads == [([False, False], False)]
     assert capfd.readouterr() == ("", "")
+
+
+def test_a_split_read_goes_on_from_the_first_block_that_is_not_plain(tmp_path, monkeypatch):
+    # Three parts; the last holds a quoted label.  Its plain blocks before
+    # the quote are kept, and the row loop reads on from there, once.
+    lines = ["group,value"] + [f"g{i % 3},{i}" for i in range(3000)]
+    lines[2500] = '"g1",2499'
+    content = ("\n".join(lines) + "\n").encode()
+    path = _write(tmp_path, "late_quote.csv", content)
+    start = content.index(b"\n") + 1
+    last_cut = content.index(b"\n", start + (len(content) - start) * 2 // 3) + 1
+    one_process = _outcome(path)
+    reads = _spy_parts(monkeypatch)
+    _force_split(monkeypatch)
+    monkeypatch.setattr(cli, "_BLOCK_CHARS", 1000)
+    seen = []
+    row_loop = cli._read_rows
+
+    def spy(rows, path, lines_before, *rest):
+        seen.append(lines_before)
+        return row_loop(rows, path, lines_before, *rest)
+
+    monkeypatch.setattr(cli, "_read_rows", spy)
+    split = _outcome(path)
+    assert reads == [([True, True], False)]
+    # past the lines of the first two parts, and before the quote on line 2501
+    assert len(seen) == 1 and content[:last_cut].count(b"\n") < seen[0] < 2501
+    assert split == one_process
 
 
 def _no_fork():

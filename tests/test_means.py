@@ -148,6 +148,15 @@ class TestAdaptive:
                 assert outcome.chosen_branch == "classic"
                 assert outcome.final.statistic == pytest.approx(anova_f(s).statistic, rel=1e-12)
 
+    @pytest.mark.parametrize("level, message", [
+        ("abc", "could not convert string to float: 'abc'"),
+        (None, "float() argument must be a string or a real number, not 'NoneType'"),
+    ])
+    def test_a_level_that_is_not_a_number_keeps_the_converters_message(self, level, message):
+        with pytest.raises(ValidationError) as caught:
+            AdaptiveConfig(preliminary_level=level)
+        assert str(caught.value) == message
+
     def test_level_zero_always_classic(self):
         rng = np.random.default_rng(42)
         with pytest.warns(PreliminaryLevelWarning):

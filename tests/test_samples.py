@@ -24,6 +24,15 @@ from vartests import (
 SQRT2 = math.sqrt(2.0)
 
 
+def _refusal(convert, value):
+    """The message with which ``convert`` refuses ``value``."""
+    try:
+        convert(value)
+    except (TypeError, ValueError) as exc:
+        return str(exc)
+    raise AssertionError(f"{convert!r} accepts {value!r}")
+
+
 def make_sample(*arrays):
     return GroupedSample(tuple((f"g{i + 1}", np.asarray(a, dtype=float)) for i, a in enumerate(arrays)))
 
@@ -45,6 +54,13 @@ class TestCenterKind:
             trimmed(-0.01)
         with pytest.raises(ValidationError):
             as_center_kind(42)
+
+    @pytest.mark.parametrize("proportion", ["x", [0.1], {}], ids=repr)
+    def test_a_trim_proportion_that_is_not_a_number_keeps_the_converters_message(self, proportion):
+        for make in (trimmed, lambda p: CenterKind("trimmed", p)):
+            with pytest.raises(ValidationError) as caught:
+                make(proportion)
+            assert str(caught.value) == _refusal(float, proportion)
 
     def test_trim_proportion_ignored_for_untrimmed(self):
         assert CenterKind("mean", 0.3) == CenterKind("mean")
@@ -114,6 +130,23 @@ class TestGroupedSample:
             make_sample([1, 2], [np.inf, 1])
         with pytest.raises(ValidationError):
             GroupedSample((("", np.array([1.0])), ("b", np.array([2.0]))))
+
+    @pytest.mark.parametrize(
+        "groups, message",
+        [
+            ((("a", "12"), ("b", [3.0, 4.0])), "group 'a' values must be a sequence, not the string '12'"),
+            ((("a", b"12"), ("b", [3.0, 4.0])), "group 'a' values must be a sequence, not the string b'12'"),
+            ((("a", [1.0, 2.0]), ("b", np.ones((2, 2)))), "group 'b' values must be a 1-D sequence, got 2 dimensions"),
+            ((("a", 5.0), ("b", [3.0, 4.0])), "group 'a' values must be a 1-D sequence, got 0 dimensions"),
+            ((("a", [1.0]), ("b", [2.0]), ("a", [3.0])), "group labels must be unique, got 'a' twice"),
+            ((("a", [1.0, "x"]), ("b", [2.0])), "could not convert string to float: 'x'"),
+        ],
+        ids=["string", "bytes", "2-d", "scalar", "duplicate-label", "bad-value"],
+    )
+    def test_group_values_must_be_one_dimensional_and_labels_unique(self, groups, message):
+        with pytest.raises(ValidationError) as caught:
+            GroupedSample(groups)
+        assert str(caught.value) == message
 
     def test_from_columns_orders_by_first_appearance(self):
         s = GroupedSample.from_columns(["b", "a", "b", "a"], [1.0, 2.0, 3.0, 4.0])
@@ -293,6 +326,12 @@ class TestObrienScale:
 class TestExpectedMeanDeviation:
     def test_reference_value(self):
         assert expected_mean_deviation(2.0, 4) == pytest.approx(1.381976597885342, abs=1e-12)
+
+    @pytest.mark.parametrize("sigma", ["x", None])
+    def test_a_sigma_that_is_not_a_number_keeps_the_converters_message(self, sigma):
+        with pytest.raises(ValidationError) as caught:
+            expected_mean_deviation(sigma, 3)
+        assert str(caught.value) == _refusal(float, sigma)
 
     def test_limits(self):
         assert expected_mean_deviation(1.0, 1) == 0.0

@@ -136,6 +136,15 @@ class TestScenarioValidation:
         with pytest.raises(ValidationError):
             null_scenario(**overrides)
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [("tests", "anova"), ("group_sizes", "55"), ("sigma_ratios", "111"), ("mean_shifts", "000")],
+    )
+    def test_a_string_in_place_of_a_list_is_refused_by_name(self, field, value):
+        named = field.replace("_", " ")
+        with pytest.raises(ValidationError, match=f"^scenario 'null' {named} must be a sequence, not the string '{value}'$"):
+            null_scenario(**{field: value})
+
     def test_a_piece_that_does_not_convert_keeps_the_converters_message(self):
         with pytest.raises(ValidationError, match="^could not convert string to float: 'y'$"):
             null_scenario(sigma_ratios=("1", "y", "1"))

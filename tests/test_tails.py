@@ -225,3 +225,18 @@ def test_an_array_with_a_bad_element_raises_the_scalar_error(fn, good, bad):
     with pytest.raises(ValidationError) as batched:
         fn(*(np.array(column) for column in zip(good, bad, good)))
     assert str(batched.value) == str(alone.value)
+
+
+@pytest.mark.parametrize(
+    "fn, args",
+    [(f_sf, ("a", 1.0, 2.0)), (chi_sq_sf, (1.0, {})), (std_normal_sf, ([1.0, "b"],)), (f_sf, ([1.0, 2.0], [3.0] * 3, 4.0))],
+    ids=["string", "dict", "string-element", "shapes-that-do-not-broadcast"],
+)
+def test_arguments_that_do_not_convert_raise_validation_error_with_numpys_message(fn, args):
+    try:
+        np.broadcast_arrays(*(np.asarray(arg, dtype=float) for arg in args))
+    except (TypeError, ValueError) as exc:
+        message = str(exc)
+    with pytest.raises(ValidationError) as caught:
+        fn(*args)
+    assert str(caught.value) == message

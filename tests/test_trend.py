@@ -148,6 +148,19 @@ class TestScores:
         with pytest.raises(ValidationError):
             ScoreSet((3.0,))
 
+    def test_scores_that_are_not_numbers_keep_the_converters_message(self):
+        s = make_sample([1.0, 2.0, 4.0], [2.0, 5.0, 9.0])
+        for call in (lambda: trend_test(s, scores=("a", "b")), lambda: ScoreSet(("a", "b"))):
+            with pytest.raises(ValidationError, match="^could not convert string to float: 'a'$"):
+                call()
+
+    @pytest.mark.parametrize("scores", ["12", b"12"])
+    def test_a_string_of_scores_is_refused(self, scores):
+        with pytest.raises(ValidationError, match="^scores must be a sequence, not the string"):
+            ScoreSet(scores)
+        with pytest.raises(ValidationError, match="^scores must be a sequence, not the string"):
+            trend_test(make_sample([1.0, 2.0], [2.0, 5.0]), scores=scores)
+
     @pytest.mark.parametrize("scores", [(1e-170, 2e-170), (0.0, 5e-324)])
     def test_scores_whose_sum_of_squares_underflows(self, scores):
         # Distinct, but their weighted sum of squares is below the smallest normal double.
