@@ -3,9 +3,11 @@
 Four subcommands: ``test`` (spread homogeneity), ``trend`` (monotone
 spread), ``anova`` (means, classic/Welch/adaptive), and ``simulate``
 (Monte Carlo size/power grids).  Dataset files are CSV with ``group``
-and ``value`` columns; reports are JSON (default) or plain text with
-full-precision numbers, so piping the JSON back into a program loses
-nothing.
+and ``value`` columns: the plain rows of a regular file are parsed in
+bulk, in one part or in one part per usable CPU (``_read_plain``), and
+the csv row loop reads anything else.  Reports are JSON (default) or
+plain text with full-precision numbers, so piping the JSON back into a
+program loses nothing.
 
 Exit codes: 0 on success, 2 for input or usage errors, 3 when the data
 are degenerate (a test's statistic would be 0/0) or a tail probability
@@ -16,8 +18,7 @@ from __future__ import annotations
 
 import argparse
 import csv
-import io
-import itertools
+import functools
 import json
 import math
 import os
@@ -40,9 +41,9 @@ from .trend import SIDES, trend_test
 
 __all__ = ["main"]
 
-# Characters read per block of a dataset file (then up to the next line
-# break), which bounds the memory a block's columns take while parsing.
-_BLOCK_CHARS = 1 << 20
+# Bytes read per block of a dataset file (then up to the next line feed),
+# which bounds the memory a block's columns take while parsing.
+_BLOCK_BYTES = 1 << 20
 
 # The smallest part of a dataset file worth a process of its own.  A split
 # cost a fixed 15-20 ms when it also imported multiprocessing (about 14 ms
@@ -91,15 +92,10 @@ def _read_dataset(path: str, group_order: Sequence[str] | None = None) -> Groupe
 def _read_columns(handle: TextIO, path: str) -> tuple[list[str], np.ndarray, np.ndarray]:
     """The labels, each row's group code and the values of an open dataset file.
 
-    A large plain file is read in parts, one per usable CPU (see
-    ``_read_parts``), up to the first block of lines that is not plain;
-    the rest of the file is read on from there as below.  Otherwise the
-    file is read in blocks of about ``_BLOCK_CHARS`` characters that end
-    at a line break.  A block of plain lines (no quote, no stray carriage
-    return, exactly one field per header column on every line) is split
-    and converted in bulk.  From the first block that is not plain, or
-    that holds an empty label or a value that is not a finite float, the
-    rest of the file goes through the csv row loop: it handles quoted
+    The plain lines at the start of a regular file are read in bulk by
+    ``_read_plain``; from the first block of lines that is not plain, and
+    for any other input (a pipe, or a header that is not the first line
+    of the file), the csv row loop reads on to the end: it handles quoted
     fields and names the physical line of a bad row.
     """
     header_reader = csv.reader(handle)
@@ -113,61 +109,101 @@ def _read_columns(handle: TextIO, path: str) -> tuple[list[str], np.ndarray, np.
     lines_read = header_reader.line_num
     labels: dict[str, int] = {}
     blocks = [(np.empty(0, np.uint32), np.empty(0))]
-    in_parts = _read_parts(handle.fileno(), len(header), group_at, value_at) if lines_read == 1 else None
-    if in_parts is not None:  # a plain block holds no blank line: one line per row
-        part_labels, part_blocks, stop = in_parts
-        labels = {label: code for code, label in enumerate(part_labels)}
-        blocks += part_blocks
-        lines_read += sum(c.size for c, _ in part_blocks)
+    plain = _read_plain(handle.fileno(), len(header), group_at, value_at) if lines_read == 1 else None
+    if plain is not None:  # a plain block holds no blank line: one line per row
+        plain_labels, plain_blocks, stop = plain
+        labels = {label: code for code, label in enumerate(plain_labels)}
+        blocks += plain_blocks
+        lines_read += sum(c.size for c, _ in plain_blocks)
         handle.seek(stop)
-    codes = dict(labels)
-    while True:
-        text = handle.read(_BLOCK_CHARS)
-        if not text:
-            break
-        text += handle.readline()
-        parsed = _parse_plain_block(text, len(header), group_at, value_at, codes, labels)
-        if parsed is None:
-            rows = itertools.chain(io.StringIO(text, newline=""), handle)
-            block_labels, block_values = _read_rows(rows, path, lines_read, group_at, value_at)
-            blocks.append((_code_labels(block_labels, codes, labels), np.array(block_values, dtype=float)))
-            break
-        blocks.append(parsed)
-        lines_read += text.count("\n")
+    if plain is None or stop < os.fstat(handle.fileno()).st_size:
+        row_labels, row_values = _read_rows(handle, path, lines_read, group_at, value_at)
+        blocks.append((_code_labels(row_labels, dict(labels), labels), np.array(row_values, dtype=float)))
     return list(labels), *(np.concatenate(column) for column in zip(*blocks))
 
 
-def _read_parts(
+def _read_plain(
     fd: int, width: int, group_at: int, value_at: int
 ) -> tuple[list[str], list[tuple[np.ndarray, np.ndarray]], int] | None:
-    """The plain rows at the start of a large file, parsed in parts by forked processes, or None to read it serially.
+    """The plain rows at the start of a regular file: labels, blocks of (codes, values), and the offset where they stop.
 
-    The data bytes of a regular file, after a header that ends at its
-    first line feed, are cut into one part per usable CPU, each at least
-    ``_MIN_PART_BYTES`` long, and every part is parsed in blocks by
-    ``_parse_plain_block`` (see ``_parts.read``).  Gives the labels and
-    the blocks of codes and values up to the first block that is not
-    plain, and the byte offset of that block (the file size if none).  A
-    worker that fails or does not start (as on a platform without
-    ``fork``) counts as stopping at its part's first byte.  Any other
-    file, or one too small to split, gives None.
+    The data bytes after a header that ends at the first line feed are cut
+    at line feeds into at most one part per usable CPU, each at least
+    ``_MIN_PART_BYTES`` long, or into one part.  This process parses the first part and a forked
+    worker each other one (see ``_parse_part``); a worker's codes are
+    remapped here to the order of first appearance over the whole file.
+    The rows stop at the file's end or at the first block that is not
+    plain; a worker that fails or does not start (as without ``fork``)
+    stops its part at its first byte.  Any other file gives None.
     """
     status = os.fstat(fd)
     if not stat.S_ISREG(status.st_mode):
         return None
     head = os.pread(fd, 1 << 16, 0)
-    start = head.find(b"\n") + 1
+    start, stop = head.find(b"\n") + 1, status.st_size
     if not start or b"\r" in head[: start - 1].removesuffix(b"\r"):  # a lone \r ends the csv header first
         return None
-    count = min(_usable_cpus(), (status.st_size - start) // _MIN_PART_BYTES)
-    if count < 2:
-        return None
-    from . import _parts  # imported here: most files are not split
+    count = max(1, min(_usable_cpus(), (stop - start) // _MIN_PART_BYTES))
+    ends = sorted({stop, *(_line_end(fd, start + (stop - start) * i // count, stop) for i in range(1, count))})
+    spans = list(zip([start, *ends], ends))
+    jobs = [functools.partial(_parse_part, fd, lo, hi, width, group_at, value_at) for lo, hi in spans]
+    if len(jobs) == 1:
+        parts = [jobs[0]()]
+    else:
+        from . import _parts  # imported here: most files are read in one part
 
-    def parse_block(text: str, codes: dict[str, int], labels: dict[str, int]):
-        return _parse_plain_block(text, width, group_at, value_at, codes, labels)
+        with _parts.forked(jobs[1:]) as results:
+            parts = [jobs[0](), *results]
+    labels, blocks, resume_at = parts[0]  # the first part's codes are already in file order
+    order = {label: code for code, label in enumerate(labels)}
+    for (lo, _), part in zip(spans[1:], parts[1:]):
+        if resume_at < lo:  # the part before stopped early
+            break
+        part_labels, part_blocks, resume_at = part or ([], [], lo)
+        remap = np.array([order.setdefault(label, len(order)) for label in part_labels], dtype=np.uint32)
+        for codes, _ in part_blocks:
+            codes[:] = remap[codes]
+        blocks += part_blocks
+    return list(order), blocks, resume_at
 
-    return _parts.read(fd, start, status.st_size, count, _BLOCK_CHARS, parse_block)
+
+def _line_end(fd: int, offset: int, stop: int) -> int:
+    """The offset just past the first line feed at or after ``offset``, or ``stop`` if none comes before it."""
+    while offset < stop:
+        window = os.pread(fd, min(1 << 12, stop - offset), offset)
+        if not window:
+            break
+        found = window.find(b"\n")
+        if found >= 0:
+            return offset + found + 1
+        offset += len(window)
+    return stop
+
+
+def _parse_part(
+    fd: int, lo: int, hi: int, width: int, group_at: int, value_at: int
+) -> tuple[list[str], list[tuple[np.ndarray, np.ndarray]], int]:
+    """The plain blocks in bytes ``lo:hi`` as labels and (codes, values), and the offset where they stop.
+
+    The bytes are read in blocks of about ``_BLOCK_BYTES`` that end at a
+    line feed, each parsed by ``_parse_plain_block`` with the part's own
+    codes.  The offset is ``hi``, or the start of the first block that is
+    not plain or not UTF-8.
+    """
+    codes: dict[str, int] = {}
+    labels: dict[str, int] = {}
+    blocks = []
+    while lo < hi:
+        end = _line_end(fd, min(lo + _BLOCK_BYTES, hi) - 1, hi)
+        try:
+            parsed = _parse_plain_block(os.pread(fd, end - lo, lo).decode("utf-8"), width, group_at, value_at, codes, labels)
+        except UnicodeDecodeError:
+            parsed = None
+        if parsed is None:
+            break
+        blocks.append(parsed)
+        lo = end
+    return list(labels), blocks, lo
 
 
 def _code_labels(cells: Sequence[str], codes: dict[str, int], labels: dict[str, int]) -> np.ndarray | None:

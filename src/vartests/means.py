@@ -76,6 +76,7 @@ class AdaptiveResult:
 
 def anova_f(sample: GroupedSample) -> TestResult:
     """Classic one-way fixed-effects ANOVA F test for equal group means."""
+    _require_group_size(sample)
     statistic, df1, df2 = _one_replicate(_one_way_f, sample.values, sample.labels)
     statistic = float(statistic)
     return TestResult("anova", statistic, df1, df2, f_sf(statistic, df1, df2))
@@ -119,8 +120,11 @@ def adaptive_anova(sample: GroupedSample, config: AdaptiveConfig | None = None) 
     ``preliminary_level`` (strictly ``p < level``) the Welch test
     supplies the final answer, otherwise the classic ANOVA does.
     """
+    _require_group_size(sample, 2)
     if config is None:
         config = AdaptiveConfig()
+    if not isinstance(config, AdaptiveConfig):
+        raise ValidationError(f"config must be an AdaptiveConfig, got {config!r}")
     preliminary = levene_test(sample, config.preliminary_center)
     if preliminary.p_value < config.preliminary_level:
         branch = "welch"

@@ -338,10 +338,12 @@ class DistributionSpec:
                 f"unknown distribution family {self.family!r}; expected one of {', '.join(_FAMILIES)}"
             )
         if self.family in _SHAPE_FAMILIES:
-            if self.shape is None or not 0.0 < self.shape < math.inf:
+            shape = None if self.shape is None else _converted(float, self.shape)
+            if shape is None or not 0.0 < shape < math.inf:
                 raise ValidationError(
                     f"family {self.family!r} requires a finite positive shape (degrees of freedom), got {self.shape!r}"
                 )
+            object.__setattr__(self, "shape", shape)
         elif self.shape is not None:
             raise ValidationError(f"family {self.family!r} does not take a shape parameter")
 

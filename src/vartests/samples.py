@@ -12,12 +12,13 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 from dataclasses import dataclass, replace
 from typing import Iterable, Sequence, Union
 
 import numpy as np
 
-from .errors import DegenerateDataError, ValidationError, _converted
+from .errors import DegenerateDataError, ValidationError, _converted, _each_converted
 
 __all__ = [
     "CENTERS", "CenterKind", "MEAN", "MEDIAN", "trimmed", "as_center_kind", "GroupedSample",
@@ -155,7 +156,7 @@ class GroupedSample:
         # One stable sort gathers each group's values contiguously and in order;
         # the narrowest code type lets numpy radix-sort up to 65,536 groups.
         codes = codes.astype(np.min_scalar_type(max(len(present) - 1, 0)), copy=False)
-        gathered = np.asarray(values, dtype=float)[np.argsort(codes, kind="stable")]
+        gathered = _converted(functools.partial(np.asarray, dtype=float), values)[np.argsort(codes, kind="stable")]
         edges = [0, *np.cumsum(np.bincount(codes, minlength=len(present))).tolist()]
         groups = dict(zip(present, (gathered[lo:hi] for lo, hi in zip(edges, edges[1:]))))
         return cls(tuple((label, groups[label]) for label in order))
@@ -200,11 +201,11 @@ class DeviationSet(GroupedSample):
     def __post_init__(self) -> None:
         super().__post_init__()
         object.__setattr__(self, "center_kind", as_center_kind(self.center_kind))
-        centers = tuple(float(c) for c in self.centers)
+        centers = _each_converted(float, self.centers, "centers")
         if len(centers) != len(self.groups):
             raise ValidationError(f"got {len(centers)} centers for {len(self.groups)} groups")
         object.__setattr__(self, "centers", centers)
-        if self.df_adjustment < 0:
+        if _converted(operator.index, self.df_adjustment) < 0:
             raise ValidationError(f"df_adjustment must be >= 0, got {self.df_adjustment!r}")
         for label, z in self.groups:
             if np.any(z < 0.0):
@@ -232,20 +233,16 @@ def _abs_deviations(values: np.ndarray, kind: CenterKind) -> tuple[np.ndarray, n
     return c, np.abs(_minus(values, c))
 
 
-def _checked_group(values: Sequence[float]) -> np.ndarray:
-    """``center``'s checks on one group: non-empty and finite."""
-    arr = np.asarray(values, dtype=float).ravel()
+def center(values: Sequence[float], kind: Union[CenterKind, str]) -> float:
+    """Location estimate of ``values``, a 1-D sequence of finite numbers, under the given center kind."""
+    kind = as_center_kind(kind)
+    arr = _converted(functools.partial(np.asarray, dtype=float), values)
+    if arr.ndim != 1:
+        raise ValidationError(f"cannot take the center of {arr.ndim}-D values: expected a 1-D sequence")
     if arr.size == 0:
         raise ValidationError("cannot take the center of an empty group")
     if not np.isfinite(arr).all():
         raise ValidationError("cannot take the center of non-finite values")
-    return arr
-
-
-def center(values: Sequence[float], kind: Union[CenterKind, str]) -> float:
-    """Location estimate of ``values`` under the given center kind."""
-    kind = as_center_kind(kind)
-    arr = _checked_group(values)
     try:
         with np.errstate(over="raise"):
             return float(_centers(arr, kind))
@@ -256,6 +253,7 @@ def center(values: Sequence[float], kind: Union[CenterKind, str]) -> float:
 
 def deviations(sample: GroupedSample, kind: Union[CenterKind, str]) -> DeviationSet:
     """Absolute deviations of every observation from its group's center."""
+    _require_group_size(sample, 1, "deviations")
     kind = as_center_kind(kind)
     # A sum in a center, or a difference from it, that overflows raises at
     # once: one floating-point check per call rather than a test per group.
@@ -263,7 +261,7 @@ def deviations(sample: GroupedSample, kind: Union[CenterKind, str]) -> Deviation
         with np.errstate(over="raise"):
             centers, values = [], []
             for label, arr in sample.groups:
-                c, z = _abs_deviations(_checked_group(arr), kind)
+                c, z = _abs_deviations(arr, kind)
                 centers.append(c)
                 values.append(z)
     except FloatingPointError:
@@ -320,13 +318,13 @@ def hines_hines_correct(dev: DeviationSet) -> DeviationSet:
     pseudo-observation, and ``df_adjustment`` grows by one per group so
     downstream tests use N - k pseudo-observations in total.
     """
+    _require_group_size(dev, 2, "the Hines-Hines correction", DeviationSet)
     if dev.center_kind.name != "median":
         raise ValidationError(
             f"the Hines-Hines correction applies to median centers only, got {dev.center_kind.name!r}"
         )
     if dev.df_adjustment != 0:
         raise ValidationError("deviation set is already corrected (df_adjustment != 0)")
-    _require_group_size(dev, 2, "the Hines-Hines correction")
     corrected = _one_replicate(_hines_hines, dev.values, dev.labels)
     return replace(dev, groups=tuple(zip(dev.labels, corrected)), df_adjustment=dev.df_adjustment + dev.k)
 
@@ -339,9 +337,9 @@ def obrien_scale(dev: DeviationSet) -> DeviationSet:
     With equal group sizes the common factor cancels out of any location
     statistic, leaving results unchanged.
     """
+    _require_group_size(dev, 2, "rescaling", DeviationSet)
     if dev.scaled:
         raise ValidationError("deviation set is already scaled")
-    _require_group_size(dev, 2, "rescaling")
     scaled = _one_replicate(_obrien, dev.values, dev.labels)
     return replace(dev, groups=tuple(zip(dev.labels, scaled)), scaled=True)
 
@@ -361,7 +359,12 @@ def expected_mean_deviation(sigma: float, n: int) -> float:
     return sigma * math.sqrt((2.0 / math.pi) * (1.0 - 1.0 / n))
 
 
-def _require_group_size(sample: GroupedSample, minimum: int, what: str = "this test") -> None:
+def _require_group_size(
+    sample: GroupedSample, minimum: int = 1, what: str = "this test", expected: type = GroupedSample
+) -> None:
+    """The check at an entry point: ``sample`` is an ``expected`` whose groups all hold ``minimum`` values or more."""
+    if not isinstance(sample, expected):
+        raise ValidationError(f"{what} takes a {expected.__name__}, got a {type(sample).__name__}")
     for label, arr in sample.groups:
         if arr.size < minimum:
             raise ValidationError(f"group {label!r} has size {arr.size}; {what} needs at least {minimum}")

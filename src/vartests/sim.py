@@ -333,7 +333,11 @@ def _run_span(scenario: Scenario, start: int, stop: int) -> list[tuple[int, int,
     """``(rejections, degenerate, too_large, message)`` per test over replicates ``start``..``stop - 1``."""
     # Extreme draws overflow or divide by zero; the replicate is counted, not announced.
     with np.errstate(all="ignore"):
-        chunk = _draw_chunk(scenario, start, stop)
+        try:
+            chunk = _draw_chunk(scenario, start, stop)
+        except (MemoryError, ValueError) as exc:  # numpy cannot allocate, or refuses to shape, the chunk's block
+            size = f"{stop - start} replicates of {sum(scenario.group_sizes)} values"
+            raise ValidationError(f"scenario {scenario.name!r}: cannot allocate a chunk of {size}: {exc}") from None
         tallies = []
         for test, runner, _ in scenario._compiled:
             try:
@@ -373,6 +377,11 @@ def run_grid(scenarios: Sequence[Scenario], workers: int = 1) -> SimulationRepor
     """
     if not isinstance(workers, int) or isinstance(workers, bool) or workers < 1:
         raise ValidationError(f"workers must be a positive integer, got {workers!r}")
+    if isinstance(scenarios, str) or not isinstance(scenarios, Sequence):
+        raise ValidationError(f"scenarios must be a sequence of Scenario objects, got {scenarios!r:.60}")
+    for scenario in scenarios:
+        if not isinstance(scenario, Scenario):
+            raise ValidationError(f"scenarios must be Scenario objects, got {scenario!r:.60}")
     names = [s.name for s in scenarios]
     if len(set(names)) != len(names):
         raise ValidationError(f"scenario names must be unique, got {sorted(names)!r}")

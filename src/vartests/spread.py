@@ -188,6 +188,7 @@ def kurtosis_estimate(sample: GroupedSample) -> float:
 
     Not excess kurtosis -- normal data give values near 3.
     """
+    _require_group_size(sample)
     return float(_one_replicate(_kurtosis, sample.values))
 
 

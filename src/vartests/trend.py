@@ -145,9 +145,9 @@ def trend_test(
     on N - k degrees of freedom, and the standardized slope is referred
     to the standard normal.
     """
+    _require_group_size(sample, 2)
     kind = as_center_kind(center)
     w = _as_scores(scores, sample.k)
-    _require_group_size(sample, 2)
     dev = deviations(sample, kind)
     beta, std_error, z_statistic = _one_replicate(_trend_slope, dev.values, w.w)
     p = map(float, _side_p_values(float(z_statistic)).values())  # in the order of SIDES

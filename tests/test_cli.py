@@ -494,6 +494,21 @@ class TestSimulateFaults:
         assert proc.returncode == 2
         assert proc.stderr == f"error: scenario 'bad': {message}\n"
 
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    def test_a_chunk_too_large_to_shape_names_the_scenario(self, tmp_path, workers):
+        # numpy refuses a block 10^20 values wide before it allocates anything.
+        grid = tmp_path / "g.txt"
+        grid.write_text(
+            "scenario = huge\ngroup_sizes = 100000000000000000000, 5\nsigma_ratios = 1, 1\n"
+            "tests = anova\nreplications = 1024\n"
+        )
+        proc = run_cli("simulate", "--grid", str(grid), "--seed", "1", "--workers", workers, "--out", str(tmp_path / "o.csv"))
+        assert proc.returncode == 2
+        assert proc.stderr == (
+            "error: scenario 'huge': cannot allocate a chunk of 512 replicates of 100000000000000000005 values: "
+            "Maximum allowed dimension exceeded\n"
+        )
+
 
 class TestExitContract:
     @pytest.mark.parametrize("command", ["test", "simulate"])

@@ -45,14 +45,14 @@ def _readings(path, group_order=None, block_chars=7):
     """(default reader, tiny blocks, row loop only, split reader) outcomes for one file."""
     default = _outcome(path, group_order)
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(cli, "_BLOCK_CHARS", block_chars)
+        mp.setattr(cli, "_BLOCK_BYTES", block_chars)
         small_blocks = _outcome(path, group_order)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(cli, "_parse_plain_block", lambda *args: None)
         rows_only = _outcome(path, group_order)
     with pytest.MonkeyPatch.context() as mp:
         _force_split(mp)
-        mp.setattr(cli, "_BLOCK_CHARS", block_chars)
+        mp.setattr(cli, "_BLOCK_BYTES", block_chars)
         split = _outcome(path, group_order)
     return default, small_blocks, rows_only, split
 
@@ -163,7 +163,7 @@ def _padded_label(i):
 def test_plain_files_never_take_the_row_loop(tmp_path, monkeypatch):
     lines = ["group,value"] + [f"{_padded_label(i)},{(i * 0.37) ** 3!r}" for i in range(5000)]
     path = _write(tmp_path, "plain.csv", "\r\n".join(lines) + "\r\n")
-    monkeypatch.setattr(cli, "_BLOCK_CHARS", 1000)
+    monkeypatch.setattr(cli, "_BLOCK_BYTES", 1000)
 
     def no_row_loop(*args):
         raise AssertionError("a plain file fell back to the row loop")
@@ -179,7 +179,7 @@ def test_only_the_rest_of_the_file_takes_the_row_loop(tmp_path, monkeypatch):
     lines = ["group,value"] + [f"g{i % 2},{i}" for i in range(400)]
     lines[300] = '"g0",1.5'
     path = _write(tmp_path, "late_quote.csv", "\n".join(lines) + "\n")
-    monkeypatch.setattr(cli, "_BLOCK_CHARS", 512)
+    monkeypatch.setattr(cli, "_BLOCK_BYTES", 512)
     seen = []
     row_loop = cli._read_rows
 
@@ -201,7 +201,7 @@ def test_only_the_rest_of_the_file_takes_the_row_loop(tmp_path, monkeypatch):
 def _spy_parts(monkeypatch):
     """Record each split read as (whether each worker gave its value, whether the plain rows reach the end)."""
     reads = []
-    forked, read = _parts.forked, _parts.read
+    forked, read = _parts.forked, cli._read_plain
 
     @contextlib.contextmanager
     def spy_forked(jobs):
@@ -210,13 +210,13 @@ def _spy_parts(monkeypatch):
             reads.append([value is not None for value in values])
             yield iter(values)
 
-    def spy_read(fd, start, stop, *rest):
-        labels, blocks, resume_at = read(fd, start, stop, *rest)
-        reads[-1] = (reads[-1], resume_at == stop)
+    def spy_read(fd, *rest):
+        labels, blocks, resume_at = read(fd, *rest)
+        reads[-1] = (reads[-1], resume_at == os.fstat(fd).st_size)
         return labels, blocks, resume_at
 
     monkeypatch.setattr(_parts, "forked", spy_forked)
-    monkeypatch.setattr(_parts, "read", spy_read)
+    monkeypatch.setattr(cli, "_read_plain", spy_read)
     return reads
 
 
@@ -317,7 +317,7 @@ def _raise():
 def test_a_failing_worker_gives_the_serial_result(tmp_path, monkeypatch, capfd, fault):
     path = _rows_file(tmp_path, "plain.csv", ["a", "b", "c"] * 50)
     serial = _outcome(path)
-    monkeypatch.setattr(_parts, "_parse_part", _in_workers(_parts._parse_part, fault))
+    monkeypatch.setattr(cli, "_parse_part", _in_workers(cli._parse_part, fault))
     reads = _spy_parts(monkeypatch)
     _force_split(monkeypatch)
     assert _outcome(path) == serial
@@ -337,7 +337,7 @@ def test_a_split_read_goes_on_from_the_first_block_that_is_not_plain(tmp_path, m
     one_process = _outcome(path)
     reads = _spy_parts(monkeypatch)
     _force_split(monkeypatch)
-    monkeypatch.setattr(cli, "_BLOCK_CHARS", 1000)
+    monkeypatch.setattr(cli, "_BLOCK_BYTES", 1000)
     seen = []
     row_loop = cli._read_rows
 

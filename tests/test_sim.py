@@ -332,6 +332,19 @@ class TestWorkerFaults:
         assert one == two
         assert one == (code, None, f"error: span of {names[5]} fails first\n")
 
+    def test_a_chunk_that_cannot_be_allocated_names_the_scenario(self, tmp_path, monkeypatch, capfd):
+        def out_of_memory(dist, sizes, rows, generators):
+            raise MemoryError(f"Unable to allocate an array with shape ({rows}, {sum(sizes)})")
+
+        monkeypatch.setattr(sim, "_usable_cpus", lambda: 2)
+        monkeypatch.setattr(sim, "_draw_rows", out_of_memory)
+        one = self._simulate(tmp_path, "1", capfd)
+        two = self._simulate(tmp_path, "2", capfd)
+        assert one == two
+        name = table1_grid(3, 60)[0].name
+        message = f"cannot allocate a chunk of 60 replicates of 30 values: Unable to allocate an array with shape (60, 30)"
+        assert one == (2, None, f"error: scenario {name!r}: {message}\n")
+
 
 class TestTallies:
     def test_counts_are_coherent(self):
