@@ -9,9 +9,9 @@ the csv row loop reads anything else.  Reports are JSON (default) or
 plain text with full-precision numbers, so piping the JSON back into a
 program loses nothing.
 
-Exit codes: 0 on success, 2 for input or usage errors, 3 when the data
-are degenerate (a test's statistic would be 0/0) or a tail probability
-fails to converge.
+Exit codes: 0 on success, 2 for input or usage errors or when memory runs
+out, 3 when the data are degenerate (a test's statistic would be 0/0) or a
+tail probability fails to converge.
 """
 
 from __future__ import annotations
@@ -33,9 +33,9 @@ import numpy as np
 from .errors import DegenerateDataError, ValidationError
 from .means import AdaptiveConfig, adaptive_anova, anova_f, welch_anova
 from .numerics import derive_seed
-from .samples import CENTERS, MEAN, CenterKind, GroupedSample
+from .samples import CENTERS, MEAN, CenterKind, GroupedSample, _centered, _one_replicate
 from .sim import Scenario, SimulationReport, _usable_cpus, power_ordering_grid, run_grid, table1_grid
-from .spread import CORRECTIONS, TestResult, _analyzed_deviations, _check_correction, as_correction
+from .spread import _CORRECTED, CORRECTIONS, TestResult, _check_correction, as_correction
 from .spread import bartlett_m, box_anderson_b3, levene_test
 from .trend import SIDES, trend_test
 
@@ -309,7 +309,8 @@ def _center_fields(kind: CenterKind | None) -> dict[str, Any]:
 
 def _group_rows(sample: GroupedSample, kind: CenterKind, correction: str) -> list[dict[str, Any]]:
     """Per-group summaries: location estimate, mean analyzed deviation, variance."""
-    dev = _analyzed_deviations(sample, kind, correction)
+    centers, z = _centered(sample, kind)
+    analyzed = _one_replicate(_CORRECTED[correction], z, sample.labels)
     return [
         {
             "label": label,
@@ -318,7 +319,7 @@ def _group_rows(sample: GroupedSample, kind: CenterKind, correction: str) -> lis
             "deviation_mean": float(z.mean()),
             "variance": float(arr.var(ddof=1)) if arr.size > 1 else None,
         }
-        for (label, arr), c, z in zip(sample.groups, dev.centers, dev.values)
+        for (label, arr), c, z in zip(sample.groups, centers, analyzed)
     ]
 
 
@@ -404,17 +405,26 @@ def _report(
 _FIXED_CENTERS = {"bfl": "median", "trimmed": "trimmed"}
 
 
+def _center_kind(name: str, proportion: float | None) -> CenterKind:
+    """The center ``name``; ``--trim-proportion`` gives a trimmed center's proportion, and no other center takes one."""
+    if proportion is not None and name != "trimmed":
+        raise ValidationError(f"--trim-proportion applies to trimmed centers only, not to the {name} center")
+    return CenterKind(name, proportion)
+
+
 def _cmd_test(args: argparse.Namespace) -> int:
     method = args.method
     if method in ("bartlett", "box-anderson"):
         if args.center is not None or args.correction is not None:
             raise ValidationError(f"--center/--correction do not apply to --method {method}")
+        if args.trim_proportion is not None:
+            raise ValidationError(f"--trim-proportion does not apply to --method {method}")
         statistic = bartlett_m if method == "bartlett" else box_anderson_b3
         return _report(args, lambda sample: _test_result_fields(statistic(sample)), MEAN)
     fixed = _FIXED_CENTERS.get(method)
     if fixed is not None and args.center not in (None, fixed):
         raise ValidationError(f"--method {method} fixes the center to {fixed}; use --method levene to vary it")
-    center = CenterKind(fixed or args.center or "median", args.trim_proportion)
+    center = _center_kind(fixed or args.center or "median", args.trim_proportion)
     correction = as_correction(args.correction)
     _check_correction(center, correction)
     return _report(
@@ -432,7 +442,7 @@ def _parse_scores(text: str | None) -> list[float] | None:
 
 
 def _cmd_trend(args: argparse.Namespace) -> int:
-    center = CenterKind(args.center or "median", args.trim_proportion)
+    center = _center_kind(args.center or "median", args.trim_proportion)
     scores = _parse_scores(args.scores)
 
     def document(sample: GroupedSample) -> dict[str, Any]:
@@ -459,12 +469,14 @@ def _cmd_anova(args: argparse.Namespace) -> int:
     method = args.method
     if method != "adaptive" and (args.prelim_level is not None or args.prelim_center is not None):
         raise ValidationError("--prelim-level/--prelim-center only apply to --method adaptive")
+    if method != "adaptive" and args.trim_proportion is not None:
+        raise ValidationError(f"--trim-proportion does not apply to --method {method}")
 
     level = 0.15 if args.prelim_level is None else args.prelim_level
     with warnings.catch_warnings(record=True) as warned:  # a level's warning goes into the report
         warnings.simplefilter("always")
         if method == "adaptive":
-            config = AdaptiveConfig(level, CenterKind(args.prelim_center or "median", args.trim_proportion))
+            config = AdaptiveConfig(level, _center_kind(args.prelim_center or "median", args.trim_proportion))
 
     def document(sample: GroupedSample) -> dict[str, Any]:
         if method == "classic":
@@ -644,14 +656,14 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     p_test.add_argument("--center", choices=CENTERS, default=None)
     p_test.add_argument("--correction", choices=CORRECTIONS, default=None)
-    p_test.add_argument("--trim-proportion", type=float, default=0.25, help="tail fraction for trimmed centers")
+    p_test.add_argument("--trim-proportion", type=float, default=None, help="tail fraction for trimmed centers (default 0.25)")
     p_test.set_defaults(handler=_cmd_test)
 
     p_trend = sub.add_parser("trend", help="test for a monotone trend in spread")
     add_common(p_trend)
     p_trend.add_argument("--scores", default=None, help="comma-separated group scores (default 1..k)")
     p_trend.add_argument("--center", choices=CENTERS, default=None)
-    p_trend.add_argument("--trim-proportion", type=float, default=0.25)
+    p_trend.add_argument("--trim-proportion", type=float, default=None)
     p_trend.add_argument("--side", choices=SIDES, default="two-sided")
     p_trend.add_argument("--group-order", default=None, help="comma-separated labels fixing the group order")
     p_trend.set_defaults(handler=_cmd_trend)
@@ -661,7 +673,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_anova.add_argument("--method", choices=("classic", "welch", "adaptive"), default="adaptive")
     p_anova.add_argument("--prelim-level", type=float, default=None, help="level of the preliminary spread test")
     p_anova.add_argument("--prelim-center", choices=CENTERS, default=None)
-    p_anova.add_argument("--trim-proportion", type=float, default=0.25)
+    p_anova.add_argument("--trim-proportion", type=float, default=None)
     p_anova.set_defaults(handler=_cmd_anova)
 
     p_sim = sub.add_parser("simulate", help="run a Monte Carlo size/power grid")
@@ -688,6 +700,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     except ArithmeticError as exc:  # a tail probability that does not converge
         print(f"error: {exc}", file=sys.stderr)
         return 3
+    except MemoryError as exc:  # e.g. a grid whose replicates are too many to list
+        print("error: out of memory" + (f": {exc}" if str(exc) else ""), file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -251,10 +251,8 @@ def center(values: Sequence[float], kind: Union[CenterKind, str]) -> float:
         raise ValidationError(message + ": the values are too large (keep them within 1e150)") from None
 
 
-def deviations(sample: GroupedSample, kind: Union[CenterKind, str]) -> DeviationSet:
-    """Absolute deviations of every observation from its group's center."""
-    _require_group_size(sample, 1, "deviations")
-    kind = as_center_kind(kind)
+def _centered(sample: GroupedSample, kind: CenterKind) -> tuple[list[float], list[np.ndarray]]:
+    """Each group's center and its absolute deviations: the kernel of ``deviations``, on a checked sample."""
     # A sum in a center, or a difference from it, that overflows raises at
     # once: one floating-point check per call rather than a test per group.
     try:
@@ -262,11 +260,19 @@ def deviations(sample: GroupedSample, kind: Union[CenterKind, str]) -> Deviation
             centers, values = [], []
             for label, arr in sample.groups:
                 c, z = _abs_deviations(arr, kind)
-                centers.append(c)
+                centers.append(float(c))
                 values.append(z)
     except FloatingPointError:
         message = f"the {kind.name} center or the deviations of group {label!r} overflow a float"
         raise ValidationError(message + ": the values are too large (keep them within 1e150)") from None
+    return centers, values
+
+
+def deviations(sample: GroupedSample, kind: Union[CenterKind, str]) -> DeviationSet:
+    """Absolute deviations of every observation from its group's center."""
+    _require_group_size(sample, 1, "deviations")
+    kind = as_center_kind(kind)
+    centers, values = _centered(sample, kind)
     return DeviationSet(tuple(zip(sample.labels, values)), kind, centers)
 
 

@@ -22,8 +22,8 @@ import numpy as np
 from .errors import DegenerateDataError, ValidationError, _converted, _each_converted
 from .means import AdaptiveConfig, _welch
 from .numerics import CHI_SQUARED, STUDENT_T, DistributionSpec, _draw_rows, _stream_generators, chi_sq_sf, derive_seed, f_sf
-from .samples import CenterKind, _abs_deviations, _hines_hines, _obrien, as_center_kind
-from .spread import _MIN_GROUP_SIZE, _bartlett, _box_anderson, _check_correction, _one_way_f, as_correction
+from .samples import CenterKind, _abs_deviations, as_center_kind
+from .spread import _MIN_GROUP_SIZE, _bartlett, _box_anderson, _check_correction, _levene_f, _one_way_f, as_correction
 from .trend import ScoreSet, _side_p_values, _trend_slope, as_side
 
 __all__ = [
@@ -96,12 +96,8 @@ def _chi_sq_rows(kernel, chunk: _Chunk):
 
 
 def _levene_rows(chunk: _Chunk, kind: CenterKind, correction: str):
-    z, faults = chunk.deviations(kind), []
-    if correction == "hines-hines":
-        z = _hines_hines(z, chunk.labels, faults)
-    elif correction == "obrien":
-        z = _obrien(z, chunk.labels, faults)
-    statistic, df1, df2 = _one_way_f(z, chunk.labels, faults)
+    faults: list = []
+    statistic, df1, df2 = _levene_f(chunk.deviations(kind), chunk.labels, correction, faults)
     return faults, lambda rows: f_sf(statistic[rows], df1, df2)
 
 

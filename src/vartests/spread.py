@@ -16,16 +16,18 @@ import numpy as np
 
 from .errors import DegenerateDataError, KurtosisError, ValidationError
 from .numerics import chi_sq_sf, f_sf
-from .samples import CenterKind, DeviationSet, GroupedSample, as_center_kind, deviations, hines_hines_correct, obrien_scale
-from .samples import _checked_sum, _flag, _group_moments, _magnitude, _minus, _nonzero_variances, _one_replicate
-from .samples import _require_group_size, _square, _sum_sq_is_zero
+from .samples import CenterKind, GroupedSample, as_center_kind
+from .samples import _centered, _checked_sum, _flag, _group_moments, _hines_hines, _magnitude, _minus
+from .samples import _nonzero_variances, _obrien, _one_replicate, _require_group_size, _square, _sum_sq_is_zero
 
 __all__ = [
     "TestResult", "CORRECTIONS", "as_correction", "levene_test", "bartlett_m", "kurtosis_estimate",
     "box_anderson_b3",
 ]
 
-CORRECTIONS = ("none", "hines-hines", "obrien")
+# Each correction's kernel over the groups of deviations (see ``samples``).
+_CORRECTED = {"none": lambda groups, labels, faults: groups, "hines-hines": _hines_hines, "obrien": _obrien}
+CORRECTIONS = tuple(_CORRECTED)
 # The smallest group a Levene test takes with each correction: Hines-Hines drops a deviation per group.
 _MIN_GROUP_SIZE = {"none": 2, "hines-hines": 3, "obrien": 2}
 
@@ -66,16 +68,6 @@ def as_correction(correction: Union[str, None]) -> str:
     )
 
 
-def _analyzed_deviations(sample: GroupedSample, kind: CenterKind, correction: str) -> DeviationSet:
-    """The deviations a Levene test with this center and correction analyzes."""
-    dev = deviations(sample, kind)
-    if correction == "hines-hines":
-        return hines_hines_correct(dev)
-    if correction == "obrien":
-        return obrien_scale(dev)
-    return dev
-
-
 def _check_correction(kind: CenterKind, correction: str) -> None:
     """The Levene test's rule on combining a center with a correction."""
     if correction == "hines-hines" and kind.name != "median":
@@ -100,6 +92,11 @@ def _one_way_f(groups: Sequence[np.ndarray], labels: Sequence[str], faults: list
     return (df2 / df1) * (between / within), df1, df2
 
 
+def _levene_f(groups: Sequence[np.ndarray], labels: Sequence[str], correction: str, faults: list) -> tuple:
+    """Levene's F over the groups of deviations (the kernel of ``levene_test``): the correction, then ``_one_way_f``."""
+    return _one_way_f(_CORRECTED[correction](groups, labels, faults), labels, faults)
+
+
 def levene_test(
     sample: GroupedSample,
     center: Union[CenterKind, str] = "median",
@@ -117,8 +114,7 @@ def levene_test(
     corr = as_correction(correction)
     _require_group_size(sample, _MIN_GROUP_SIZE[corr])
     _check_correction(kind, corr)
-    dev = _analyzed_deviations(sample, kind, corr)
-    statistic, df1, df2 = _one_replicate(_one_way_f, dev.values, dev.labels)
+    statistic, df1, df2 = _one_replicate(_levene_f, _centered(sample, kind)[1], sample.labels, corr)
     statistic = float(statistic)
     return TestResult("levene", statistic, df1, df2, f_sf(statistic, df1, df2), center=kind, correction=corr)
 

@@ -19,9 +19,9 @@ import numpy as np
 
 from .errors import DegenerateDataError, ValidationError, _each_converted
 from .numerics import std_normal_sf
-from .samples import CenterKind, GroupedSample, as_center_kind, deviations
-from .samples import _checked_sum, _flag, _group_moments, _magnitude, _one_replicate, _require_group_size, _square
-from .samples import _sum_sq_is_zero
+from .samples import CenterKind, GroupedSample, as_center_kind
+from .samples import _centered, _checked_sum, _flag, _group_moments, _magnitude, _one_replicate, _require_group_size
+from .samples import _square, _sum_sq_is_zero
 
 __all__ = ["SIDES", "as_side", "ScoreSet", "TrendResult", "trend_test"]
 
@@ -148,7 +148,6 @@ def trend_test(
     _require_group_size(sample, 2)
     kind = as_center_kind(center)
     w = _as_scores(scores, sample.k)
-    dev = deviations(sample, kind)
-    beta, std_error, z_statistic = _one_replicate(_trend_slope, dev.values, w.w)
+    beta, std_error, z_statistic = _one_replicate(_trend_slope, _centered(sample, kind)[1], w.w)
     p = map(float, _side_p_values(float(z_statistic)).values())  # in the order of SIDES
     return TrendResult(float(beta), float(std_error), float(z_statistic), *p, center=kind, scores=w.w)

@@ -94,7 +94,7 @@ def _scalar_outcome(label, groups):
         return "too large"
 
 
-@settings(max_examples=40, deadline=None, derandomize=True)
+@settings(max_examples=40)
 @given(
     sizes=st.lists(st.integers(2, 9), min_size=2, max_size=4),
     kinds=st.lists(st.sampled_from(ROW_KINDS), min_size=1, max_size=6),

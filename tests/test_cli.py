@@ -190,6 +190,17 @@ class TestFlagChecks:
                 (["anova", "--method", "welch", "--prelim-level", "0.2"], "--prelim-level/--prelim-center only apply"),
                 (["test", "--center", "mean", "--correction", "hines-hines"], "the Hines-Hines correction applies"),
                 (["anova", "--prelim-center", "trimmed", "--trim-proportion", "0.7"], "trim proportion must lie in"),
+                # A trim proportion where no center is trimmed would be ignored.
+                (["test", "--method", "bartlett", "--trim-proportion", "0.1"], "--trim-proportion does not apply"),
+                (["test", "--method", "box-anderson", "--trim-proportion", "0.1"], "--trim-proportion does not apply"),
+                (["test", "--trim-proportion", "0.1"], "--trim-proportion applies to trimmed centers only"),
+                (["test", "--center", "mean", "--trim-proportion", "0.1"], "--trim-proportion applies to trimmed"),
+                (["test", "--method", "bfl", "--trim-proportion", "0.1"], "--trim-proportion applies to trimmed"),
+                (["trend", "--center", "median", "--trim-proportion", "0.1"], "--trim-proportion applies to trimmed"),
+                (["anova", "--trim-proportion", "0.1"], "--trim-proportion applies to trimmed centers only"),
+                (["anova", "--prelim-center", "mean", "--trim-proportion", "0.1"], "--trim-proportion applies to"),
+                (["anova", "--method", "welch", "--trim-proportion", "0.1"], "--trim-proportion does not apply"),
+                (["anova", "--method", "classic", "--trim-proportion", "0.1"], "--trim-proportion does not apply"),
             ]
         ],
     )
@@ -197,6 +208,20 @@ class TestFlagChecks:
         assert cli.main([*argv, "--input", str(tmp_path / "missing.csv")]) == 2
         err = capsys.readouterr().err
         assert err.startswith(f"error: {message}") and err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "argv, field",
+        [
+            (["test", "--method", "trimmed"], "trim_proportion"),
+            (["test", "--center", "trimmed"], "trim_proportion"),
+            (["trend", "--center", "trimmed"], "trim_proportion"),
+            (["anova", "--prelim-center", "trimmed"], "preliminary"),
+        ],
+    )
+    def test_a_trimmed_center_takes_the_proportion(self, three_group_csv, capsys, argv, field):
+        assert cli.main([*argv, "--trim-proportion", "0.1", "--input", three_group_csv]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert (doc[field]["trim_proportion"] if field == "preliminary" else doc[field]) == 0.1
 
 
 class TestInputErrors:
@@ -534,6 +559,21 @@ class TestExitContract:
         assert cli.main([*command, "--input", str(path)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "too large" in err
+
+    @pytest.mark.parametrize("command", ["test", "simulate"])
+    @pytest.mark.parametrize("detail", ["", "Unable to allocate 8.00 GiB for an array"])
+    def test_running_out_of_memory_exits_2(self, command, detail, toy_csv, tmp_path, monkeypatch, capsys):
+        def exhausted(*args, **kwargs):
+            raise MemoryError(detail)
+
+        monkeypatch.setattr(cli, "_read_dataset", exhausted)
+        monkeypatch.setattr(cli, "run_grid", exhausted)
+        if command == "test":
+            argv = ["test", "--input", toy_csv]
+        else:
+            argv = ["simulate", "--grid", "table1", "--seed", "1", "--reps", "4", "--out", str(tmp_path / "o.csv")]
+        assert cli.main(argv) == 2
+        assert capsys.readouterr().err == "error: out of memory" + (f": {detail}" if detail else "") + "\n"
 
     def test_a_center_that_overflows_exits_2_as_too_large(self, tmp_path, capsys):
         path = tmp_path / "near-max.csv"

@@ -431,7 +431,7 @@ def _dataset(draw):
     return newline.join([header] + lines) + tail
 
 
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=150)
 @given(content=_dataset(), block_chars=st.integers(1, 200))
 def test_generated_datasets_read_the_same_on_every_path(content, block_chars):
     with tempfile.TemporaryDirectory() as tmp:

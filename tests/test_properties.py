@@ -33,7 +33,7 @@ from vartests.samples import CENTERS
 from vartests.spread import CORRECTIONS
 from vartests.trend import SIDES
 
-_SETTINGS = settings(max_examples=100, deadline=None, derandomize=True)
+_SETTINGS = settings(max_examples=100)
 
 _DYADIC = st.integers(-4096, 4096).map(lambda i: i / 16)
 

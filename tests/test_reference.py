@@ -43,7 +43,7 @@ def _assert_close(ours, theirs):
     assert abs(ours.p_value - theirs.pvalue) <= P_VALUE_ATOL
 
 
-@settings(max_examples=300, deadline=None, derandomize=True)
+@settings(max_examples=300)
 @given(groups=_groups())
 def test_statistics_and_tails_match_scipy(groups):
     sample = GroupedSample(tuple((f"g{i}", values) for i, values in enumerate(groups)))

@@ -9,11 +9,13 @@ from scipy import stats
 
 from vartests import (
     DegenerateDataError,
+    DeviationSet,
     DistributionSpec,
     GroupedSample,
     KurtosisError,
     RngStream,
     ValidationError,
+    adaptive_anova,
     anova_f,
     bartlett_m,
     box_anderson_b3,
@@ -23,8 +25,10 @@ from vartests import (
     kurtosis_estimate,
     levene_test,
     obrien_scale,
+    trend_test,
     trimmed,
 )
+from vartests import cli
 from vartests.samples import CENTERS
 from vartests.spread import CORRECTIONS
 
@@ -85,29 +89,83 @@ class TestLeveneOracle:
         custom = levene_test(s, trimmed(0.1))
         assert custom.center.trim_proportion == 0.1
 
+    # A center, a deviation, a fold and O'Brien's rescaling that overflow, and values whose squares do.
+    _OVERFLOWING = (
+        ([1.0, 2.0, 4.0], [1.7e308, 1.7e308, 1.7e308, 1.0]),
+        ([1.0, 2.0, 4.0], [-1.7e308, -1.7e308, -1.7e308, -1.7e308, 1.7e308]),
+        ([1.0, 2.0, 3.0, 5.0], [-1.7e308, 1.7e308, -1.7e308, 1.7e308]),
+        ([1.0, 2.0, 4.0], [-1.6e308, 0.0, 1.6e308]),
+        ([1e200, 2e200, 4e200], [2e200, 4e200, 8e200, 3e200]),
+    )
+
+    @staticmethod
+    def _outcome(call):
+        """The result's numbers, or the type and message of the error ``call`` raises."""
+        try:
+            result = call()
+        except (ValidationError, DegenerateDataError) as exc:
+            return type(exc), str(exc)
+        return result.statistic, result.df1, result.df2, result.p_value
+
     def test_agrees_with_anova_on_deviations(self):
         # Levene's test is, by definition, the one-way ANOVA F computed on
         # the absolute deviations (corrected as requested): a deviation set
-        # is a grouped sample, and the two calls must agree bit for bit.
+        # is a grouped sample, and the two calls must agree bit for bit, or
+        # raise the same error.
         corrections = {"none": lambda dev: dev, "hines-hines": hines_hines_correct, "obrien": obrien_scale}
         assert tuple(corrections) == CORRECTIONS
         rng = np.random.default_rng(42)
-        for _ in range(25):
-            s = random_sample(rng, scales=[1.0, 3.0, 1.5])
+        drawn = [(random_sample(rng, scales=[1.0, 3.0, 1.5]), False) for _ in range(25)]
+        overflowing = [(make_sample(*groups), True) for groups in self._OVERFLOWING]
+        assert isinstance(deviations(drawn[0][0], "median"), GroupedSample)
+        for s, overflows in drawn + overflowing:
             for kind in CENTERS:
-                dev = deviations(s, kind)
-                assert isinstance(dev, GroupedSample)
                 for correction, correct in corrections.items():
                     if correction == "hines-hines" and kind != "median":
                         continue
-                    direct = levene_test(s, kind, correction)
-                    via_anova = anova_f(correct(dev))
-                    assert (direct.statistic, direct.df1, direct.df2, direct.p_value) == (
-                        via_anova.statistic,
-                        via_anova.df1,
-                        via_anova.df2,
-                        via_anova.p_value,
-                    )
+                    direct = self._outcome(lambda: levene_test(s, kind, correction))
+                    via_anova = self._outcome(lambda: anova_f(correct(deviations(s, kind))))
+                    assert direct == via_anova
+                    assert (direct[0] is ValidationError) == overflows, (kind, correction, direct)
+
+
+class TestOnePath:
+    """A statistic runs the deviation and correction kernels directly: it builds no ``DeviationSet``."""
+
+    @pytest.fixture()
+    def built(self, monkeypatch):
+        built = []
+        post_init = DeviationSet.__post_init__
+
+        def spy(dev):
+            built.append(dev)
+            post_init(dev)
+
+        monkeypatch.setattr(DeviationSet, "__post_init__", spy)
+        return built
+
+    def test_the_statistics_build_none(self, built):
+        s = random_sample(np.random.default_rng(3), scales=[1.0, 2.0, 4.0])
+        for kind in CENTERS:
+            for correction in CORRECTIONS:
+                if correction != "hines-hines" or kind == "median":
+                    levene_test(s, kind, correction)
+            trend_test(s, center=kind)
+        adaptive_anova(s)
+        assert built == []
+        deviations(s, "median")
+        assert len(built) == 1
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["test"], ["test", "--correction", "hines-hines"], ["test", "--correction", "obrien"], ["trend"], ["anova"]],
+        ids=" ".join,
+    )
+    def test_the_reports_build_none(self, built, tmp_path, capsys, argv):
+        path = tmp_path / "data.csv"
+        path.write_text("group,value\n" + "".join(f"g{i % 3},{(i * 7919) % 101 / 7}\n" for i in range(30)))
+        assert cli.main([*argv, "--input", str(path)]) == 0
+        assert built == []
 
 
 class TestLeveneInvariance:

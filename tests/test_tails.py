@@ -144,31 +144,31 @@ _X = st.one_of(st.sampled_from([0.0, 5e-324, 1e-300, 1e308, math.inf]), st.float
 _BATCH = {"min_size": 1, "max_size": 12}
 
 
-@settings(max_examples=60, deadline=None, derandomize=True)
+@settings(max_examples=60)
 @given(st.lists(st.tuples(_X, _DF, _DF), **_BATCH))
 def test_an_f_batch_is_its_size_one_calls(rows):
     _assert_batch_is_its_size_one_calls(f_sf, rows)
 
 
-@settings(max_examples=60, deadline=None, derandomize=True)
+@settings(max_examples=60)
 @given(st.lists(st.tuples(_X, _DF), **_BATCH))
 def test_a_chi_squared_batch_is_its_size_one_calls(rows):
     _assert_batch_is_its_size_one_calls(chi_sq_sf, rows)
 
 
-@settings(max_examples=40, deadline=None, derandomize=True)
+@settings(max_examples=40)
 @given(st.lists(st.tuples(st.floats(allow_nan=False)), **_BATCH))
 def test_a_normal_batch_is_its_size_one_calls(rows):
     _assert_batch_is_its_size_one_calls(std_normal_sf, rows)
 
 
-@settings(max_examples=40, deadline=None, derandomize=True)
+@settings(max_examples=40)
 @given(st.lists(st.tuples(_DF, _DF, st.floats(0.0, 1.0)), **_BATCH))
 def test_a_beta_batch_is_its_size_one_calls(rows):
     _assert_batch_is_its_size_one_calls(reg_inc_beta, rows)
 
 
-@settings(max_examples=40, deadline=None, derandomize=True)
+@settings(max_examples=40)
 @given(st.lists(st.tuples(_DF, _X), **_BATCH))
 def test_a_gamma_batch_is_its_size_one_calls(rows):
     _assert_batch_is_its_size_one_calls(reg_inc_gamma_lower, rows)
