@@ -9,9 +9,9 @@ the csv row loop reads anything else.  Reports are JSON (default) or
 plain text with full-precision numbers, so piping the JSON back into a
 program loses nothing.
 
-Exit codes: 0 on success, 2 for input or usage errors or when memory runs
-out, 3 when the data are degenerate (a test's statistic would be 0/0) or a
-tail probability fails to converge.
+Exit codes: 0 on success, 2 for input or usage errors, when memory runs
+out or when stdout cannot be written, 3 when the data are degenerate (a
+test's statistic would be 0/0) or a tail probability fails to converge.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ import numpy as np
 from .errors import DegenerateDataError, ValidationError
 from .means import AdaptiveConfig, adaptive_anova, anova_f, welch_anova
 from .numerics import derive_seed
-from .samples import CENTERS, MEAN, CenterKind, GroupedSample, _centered, _one_replicate
+from .samples import CENTERS, MEAN, CenterKind, GroupedSample, _centered, _one_replicate, _rescaled, _scaled_back
 from .sim import Scenario, SimulationReport, _usable_cpus, power_ordering_grid, run_grid, table1_grid
 from .spread import _CORRECTED, CORRECTIONS, TestResult, _check_correction, as_correction
 from .spread import bartlett_m, box_anderson_b3, levene_test
@@ -309,17 +309,17 @@ def _center_fields(kind: CenterKind | None) -> dict[str, Any]:
 
 def _group_rows(sample: GroupedSample, kind: CenterKind, correction: str) -> list[dict[str, Any]]:
     """Per-group summaries: location estimate, mean analyzed deviation, variance."""
-    centers, z = _centered(sample, kind)
-    analyzed = _one_replicate(_CORRECTED[correction], z, sample.labels)
+    labels = sample.labels
+    groups, shift = _rescaled(sample.values)
+    centers, z = _centered(groups, kind)
+    analyzed = _one_replicate(_CORRECTED[correction], z, labels)
+    centers = _scaled_back(centers, shift, "the center of group {!r}", labels).tolist()
+    means = _scaled_back([d.mean() for d in analyzed], shift, "the mean deviation of group {!r}", labels).tolist()
+    variances = [arr.var(ddof=1) if arr.size > 1 else 0.0 for arr in groups]
+    variances = _scaled_back(variances, 2 * shift, "the variance of group {!r}", labels).tolist()
     return [
-        {
-            "label": label,
-            "size": int(arr.size),
-            "center": c,
-            "deviation_mean": float(z.mean()),
-            "variance": float(arr.var(ddof=1)) if arr.size > 1 else None,
-        }
-        for (label, arr), c, z in zip(sample.groups, centers, analyzed)
+        {"label": label, "size": int(arr.size), "center": c, "deviation_mean": m, "variance": v if arr.size > 1 else None}
+        for label, arr, c, m, v in zip(labels, groups, centers, means, variances)
     ]
 
 
@@ -340,10 +340,18 @@ def _test_result_fields(result: TestResult) -> dict[str, Any]:
 
 def _finish(doc: dict[str, Any], caught: list[warnings.WarningMessage], fmt: str) -> int:
     doc["warnings"] = [str(item.message) for item in caught]
-    if fmt == "json":
-        print(json.dumps(doc, indent=2))
-    else:
-        print(_render_text(doc))
+    return _print_out(json.dumps(doc, indent=2) if fmt == "json" else _render_text(doc), "the report")
+
+
+def _print_out(text: str, what: str) -> int:
+    """Print ``text`` to stdout and flush it: 0, or 2 after one error line if stdout cannot take it (a closed pipe, a full disk)."""
+    try:
+        print(text)
+        sys.stdout.flush()
+    except OSError as exc:  # then what is still buffered, flushed at exit, goes nowhere instead of raising again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print(f"error: cannot write {what}: {exc}", file=sys.stderr)
+        return 2
     return 0
 
 
@@ -624,11 +632,8 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         scenarios = _parse_scenario_file(args.grid, args.reps, grid_seed)
     report = run_grid(scenarios, workers=args.workers)
     write_report_csv(report, args.out, grid_seed)
-    print(
-        f"wrote {len(report.cells)} cells ({len(scenarios)} scenarios) to {args.out} "
-        f"[grid seed {grid_seed}, {report.elapsed:.1f}s]"
-    )
-    return 0
+    summary = f"wrote {len(report.cells)} cells ({len(scenarios)} scenarios) to {args.out} "
+    return _print_out(summary + f"[grid seed {grid_seed}, {report.elapsed:.1f}s]", "the summary")
 
 
 # ---------------------------------------------------------------------------

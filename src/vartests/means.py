@@ -11,14 +11,14 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
-from typing import Sequence, Union
+from typing import Sequence
 
 import numpy as np
 
 from .errors import DegenerateDataError, ValidationError, _converted
 from .numerics import f_sf
 from .samples import CenterKind, GroupedSample, MEDIAN, as_center_kind
-from .samples import _checked_sum, _flag, _nonzero_variances, _one_replicate, _require_group_size, _square
+from .samples import _flag, _nonzero_variances, _one_replicate, _require_group_size, _rescaled, _square
 from .spread import TestResult, _one_way_f, levene_test
 
 __all__ = [
@@ -49,7 +49,7 @@ class AdaptiveConfig:
     preliminary_center: CenterKind = MEDIAN
 
     def __post_init__(self) -> None:
-        level = _converted(float, self.preliminary_level)
+        level = _converted(float, self.preliminary_level, "preliminary level")
         if not 0.0 <= level < 1.0:
             raise ValidationError(f"preliminary level must lie in [0, 1), got {level!r}")
         object.__setattr__(self, "preliminary_level", level)
@@ -77,7 +77,7 @@ class AdaptiveResult:
 def anova_f(sample: GroupedSample) -> TestResult:
     """Classic one-way fixed-effects ANOVA F test for equal group means."""
     _require_group_size(sample)
-    statistic, df1, df2 = _one_replicate(_one_way_f, sample.values, sample.labels)
+    statistic, df1, df2 = _one_replicate(_one_way_f, _rescaled(sample.values)[0], sample.labels)
     statistic = float(statistic)
     return TestResult("anova", statistic, df1, df2, f_sf(statistic, df1, df2))
 
@@ -93,8 +93,7 @@ def _welch(groups: Sequence[np.ndarray], labels: Sequence[str], faults: list) ->
     _flag(faults, np.isinf(weight_sum), DegenerateDataError, message)
     grand = sum(w * m for w, m in zip(weights, means)) / weight_sum
     imbalance = sum(_square(1.0 - w / weight_sum) / (n - 1) for w, n in zip(weights, sizes))
-    between = (w * _square(m - grand) for w, m in zip(weights, means))
-    numerator = _checked_sum(faults, between, "the weighted between-groups sum of squares") / (k - 1)
+    numerator = sum(w * _square(m - grand) for w, m in zip(weights, means)) / (k - 1)
     denominator = 1.0 + 2.0 * (k - 2) / (k**2 - 1.0) * imbalance
     return numerator / denominator, float(k - 1), (k**2 - 1.0) / (3.0 * imbalance)
 
@@ -108,7 +107,7 @@ def welch_anova(sample: GroupedSample) -> TestResult:
     the squared Welch t statistic with Welch-Satterthwaite df.
     """
     _require_group_size(sample, 2)
-    statistic, df1, df2 = _one_replicate(_welch, sample.values, sample.labels)
+    statistic, df1, df2 = _one_replicate(_welch, _rescaled(sample.values)[0], sample.labels)
     statistic, df2 = float(statistic), float(df2)
     return TestResult("welch", statistic, df1, df2, f_sf(statistic, df1, df2))
 

@@ -60,7 +60,7 @@ def _elementwise(core: Callable[..., np.ndarray]) -> Callable:
 
     @functools.wraps(core)
     def elementwise(*args):
-        arrays = _converted(_broadcast_floats, args)
+        arrays = _converted(_broadcast_floats, args, f"the arguments of {core.__name__}")
         with np.errstate(all="ignore"):
             out = core(*(arr.ravel() for arr in arrays))
         return float(out[0]) if arrays[0].ndim == 0 else out.reshape(arrays[0].shape)
@@ -338,7 +338,7 @@ class DistributionSpec:
                 f"unknown distribution family {self.family!r}; expected one of {', '.join(_FAMILIES)}"
             )
         if self.family in _SHAPE_FAMILIES:
-            shape = None if self.shape is None else _converted(float, self.shape)
+            shape = None if self.shape is None else _converted(float, self.shape, "shape")
             if shape is None or not 0.0 < shape < math.inf:
                 raise ValidationError(
                     f"family {self.family!r} requires a finite positive shape (degrees of freedom), got {self.shape!r}"

@@ -13,6 +13,7 @@ from __future__ import annotations
 import functools
 import math
 import operator
+import sys
 from dataclasses import dataclass, replace
 from typing import Iterable, Sequence, Union
 
@@ -52,7 +53,7 @@ class CenterKind:
                 f"unknown center kind {self.name!r}; expected one of {', '.join(CENTERS)}"
             )
         if self.name == "trimmed":
-            proportion = 0.25 if self.trim_proportion is None else _converted(float, self.trim_proportion)
+            proportion = 0.25 if self.trim_proportion is None else _converted(float, self.trim_proportion, "trim proportion")
             if not 0.0 <= proportion < 0.5:
                 raise ValidationError(
                     f"trim proportion must lie in [0, 0.5), got {self.trim_proportion!r}"
@@ -98,7 +99,7 @@ def _freeze_groups(
             raise ValidationError(f"group labels must be unique, got {label!r} twice")
         if isinstance(values, (str, bytes)):
             raise ValidationError(f"group {label!r} values must be a sequence, not the string {values!r}")
-        arr = _converted(functools.partial(np.array, dtype=float, copy=True), values)
+        arr = _converted(functools.partial(np.array, dtype=float, copy=True), values, f"group {label!r} values")
         if arr.ndim != 1:
             raise ValidationError(f"group {label!r} values must be a 1-D sequence, got {arr.ndim} dimensions")
         if arr.size == 0:
@@ -156,7 +157,7 @@ class GroupedSample:
         # One stable sort gathers each group's values contiguously and in order;
         # the narrowest code type lets numpy radix-sort up to 65,536 groups.
         codes = codes.astype(np.min_scalar_type(max(len(present) - 1, 0)), copy=False)
-        gathered = _converted(functools.partial(np.asarray, dtype=float), values)[np.argsort(codes, kind="stable")]
+        gathered = _converted(functools.partial(np.asarray, dtype=float), values, "values")[np.argsort(codes, kind="stable")]
         edges = [0, *np.cumsum(np.bincount(codes, minlength=len(present))).tolist()]
         groups = dict(zip(present, (gathered[lo:hi] for lo, hi in zip(edges, edges[1:]))))
         return cls(tuple((label, groups[label]) for label in order))
@@ -205,7 +206,7 @@ class DeviationSet(GroupedSample):
         if len(centers) != len(self.groups):
             raise ValidationError(f"got {len(centers)} centers for {len(self.groups)} groups")
         object.__setattr__(self, "centers", centers)
-        if _converted(operator.index, self.df_adjustment) < 0:
+        if _converted(operator.index, self.df_adjustment, "df_adjustment") < 0:
             raise ValidationError(f"df_adjustment must be >= 0, got {self.df_adjustment!r}")
         for label, z in self.groups:
             if np.any(z < 0.0):
@@ -236,35 +237,24 @@ def _abs_deviations(values: np.ndarray, kind: CenterKind) -> tuple[np.ndarray, n
 def center(values: Sequence[float], kind: Union[CenterKind, str]) -> float:
     """Location estimate of ``values``, a 1-D sequence of finite numbers, under the given center kind."""
     kind = as_center_kind(kind)
-    arr = _converted(functools.partial(np.asarray, dtype=float), values)
+    arr = _converted(functools.partial(np.asarray, dtype=float), values, "values")
     if arr.ndim != 1:
         raise ValidationError(f"cannot take the center of {arr.ndim}-D values: expected a 1-D sequence")
     if arr.size == 0:
         raise ValidationError("cannot take the center of an empty group")
     if not np.isfinite(arr).all():
         raise ValidationError("cannot take the center of non-finite values")
-    try:
-        with np.errstate(over="raise"):
-            return float(_centers(arr, kind))
-    except FloatingPointError:
-        message = f"the {kind.name} center overflows a float"
-        raise ValidationError(message + ": the values are too large (keep them within 1e150)") from None
+    (arr,), shift = _rescaled([arr])
+    return float(_scaled_back(_centers(arr, kind), shift, "the center"))
 
 
-def _centered(sample: GroupedSample, kind: CenterKind) -> tuple[list[float], list[np.ndarray]]:
-    """Each group's center and its absolute deviations: the kernel of ``deviations``, on a checked sample."""
-    # A sum in a center, or a difference from it, that overflows raises at
-    # once: one floating-point check per call rather than a test per group.
-    try:
-        with np.errstate(over="raise"):
-            centers, values = [], []
-            for label, arr in sample.groups:
-                c, z = _abs_deviations(arr, kind)
-                centers.append(float(c))
-                values.append(z)
-    except FloatingPointError:
-        message = f"the {kind.name} center or the deviations of group {label!r} overflow a float"
-        raise ValidationError(message + ": the values are too large (keep them within 1e150)") from None
+def _centered(groups: Sequence[np.ndarray], kind: CenterKind) -> tuple[list[float], list[np.ndarray]]:
+    """Each group's center and its absolute deviations: the kernel of ``deviations``, on ``_rescaled`` groups."""
+    centers, values = [], []
+    for arr in groups:
+        c, z = _abs_deviations(arr, kind)
+        centers.append(float(c))
+        values.append(z)
     return centers, values
 
 
@@ -272,8 +262,11 @@ def deviations(sample: GroupedSample, kind: Union[CenterKind, str]) -> Deviation
     """Absolute deviations of every observation from its group's center."""
     _require_group_size(sample, 1, "deviations")
     kind = as_center_kind(kind)
-    centers, values = _centered(sample, kind)
-    return DeviationSet(tuple(zip(sample.labels, values)), kind, centers)
+    groups, shift = _rescaled(sample.values)
+    centers, values = _centered(groups, kind)
+    values = [_scaled_back(z, shift, f"a deviation in group {label!r}") for label, z in zip(sample.labels, values)]
+    centers = _scaled_back(centers, shift, "the center of group {!r}", sample.labels)
+    return DeviationSet(tuple(zip(sample.labels, values)), kind, tuple(centers))
 
 
 def _hines_hines(groups: Sequence[np.ndarray], labels: Sequence[str], faults: list) -> list[np.ndarray]:
@@ -284,8 +277,6 @@ def _hines_hines(groups: Sequence[np.ndarray], labels: Sequence[str], faults: li
         zero = z == 0.0
         _flag(faults, zero.all(axis=-1), DegenerateDataError, f"group {label!r} has no positive deviation from its median")
         if n % 2 == 1:
-            message = f"group {label!r} has odd size but no zero deviation; "
-            _flag(faults, ~zero.any(axis=-1), ValidationError, message + "were these deviations taken from true group medians?")
             drop = zero.argmax(axis=-1)
             kept = z
         else:
@@ -295,22 +286,14 @@ def _hines_hines(groups: Sequence[np.ndarray], labels: Sequence[str], faults: li
             after = z[~first].reshape(*z.shape[:-1], n - 1).argmin(axis=-1)
             drop = after + (after >= head)
             kept = z * np.where(first, math.sqrt(2.0), 1.0)
-            message = f"the folded deviation of group {label!r} overflows a float: the values are too large"
-            _flag(faults, ~np.isfinite(kept).all(axis=-1), ValidationError, message + " (keep them within 1e150)")
         keep = np.arange(n) != drop[..., None]
         corrected.append(kept[keep].reshape(*z.shape[:-1], n - 1))
     return corrected
 
 
 def _obrien(groups: Sequence[np.ndarray], labels: Sequence[str], faults: list) -> list[np.ndarray]:
-    """The kernel of ``obrien_scale``: deviations rescaled by 1 / sqrt(1 - 1/n); rows that overflow are flagged."""
-    scaled = []
-    for label, z in zip(labels, groups):
-        s = z / math.sqrt(1.0 - 1.0 / z.shape[-1])
-        message = f"the rescaled deviations of group {label!r} overflow a float: the values are too large"
-        _flag(faults, ~np.isfinite(s).all(axis=-1), ValidationError, message + " (keep them within 1e150)")
-        scaled.append(s)
-    return scaled
+    """The kernel of ``obrien_scale``: deviations rescaled by 1 / sqrt(1 - 1/n)."""
+    return [z / math.sqrt(1.0 - 1.0 / z.shape[-1]) for z in groups]
 
 
 def hines_hines_correct(dev: DeviationSet) -> DeviationSet:
@@ -331,7 +314,12 @@ def hines_hines_correct(dev: DeviationSet) -> DeviationSet:
         )
     if dev.df_adjustment != 0:
         raise ValidationError("deviation set is already corrected (df_adjustment != 0)")
+    for label, z in dev.groups:
+        if z.size % 2 == 1 and not (z == 0.0).any():
+            message = f"group {label!r} has odd size but no zero deviation; "
+            raise ValidationError(message + "were these deviations taken from true group medians?")
     corrected = _one_replicate(_hines_hines, dev.values, dev.labels)
+    corrected = [_scaled_back(z, 0, f"a folded deviation in group {label!r}") for label, z in zip(dev.labels, corrected)]
     return replace(dev, groups=tuple(zip(dev.labels, corrected)), df_adjustment=dev.df_adjustment + dev.k)
 
 
@@ -347,6 +335,7 @@ def obrien_scale(dev: DeviationSet) -> DeviationSet:
     if dev.scaled:
         raise ValidationError("deviation set is already scaled")
     scaled = _one_replicate(_obrien, dev.values, dev.labels)
+    scaled = [_scaled_back(z, 0, f"a rescaled deviation in group {label!r}") for label, z in zip(dev.labels, scaled)]
     return replace(dev, groups=tuple(zip(dev.labels, scaled)), scaled=True)
 
 
@@ -357,7 +346,7 @@ def expected_mean_deviation(sigma: float, n: int) -> float:
     shows directly how mean absolute deviations from a fitted group mean
     shrink as the group gets smaller.
     """
-    sigma = _converted(float, sigma)
+    sigma = _converted(float, sigma, "sigma")
     if not sigma > 0.0:
         raise ValidationError(f"sigma must be positive, got {sigma!r}")
     if not isinstance(n, int) or isinstance(n, bool) or n < 1:
@@ -415,21 +404,41 @@ def _minus(arr: np.ndarray, per_row):
     return (arr.T - per_row).T
 
 
-def _checked_sum(faults: list, terms: Iterable, what: str):
-    """``sum(terms)``; rows where the total overflows a float are flagged."""
-    total = sum(terms)
-    overflow = ~np.isfinite(total) if isinstance(total, np.ndarray) else not math.isfinite(total)
-    _flag(faults, overflow, ValidationError, f"{what} overflows a float: the values are too large (keep them within 1e150)")
-    return total
-
-
 def _magnitude(groups: Sequence[np.ndarray]):
     """The largest absolute value over all groups, per row."""
     joined = np.concatenate(groups, axis=-1)
     return np.abs(joined, out=joined).max(axis=-1)
 
 
-def _group_moments(groups: Sequence[np.ndarray], faults: list) -> tuple[list, list, object]:
+def _rescaled(groups: Sequence[np.ndarray]) -> tuple[Sequence[np.ndarray], object]:
+    """The groups, each row whose largest magnitude is 2**e, |e| > 200, times 2**-e (exact); and e per row, else 0.
+
+    Statistics are scale-free, and rescaled squares and fourth powers neither overflow nor underflow.
+    Rows within 2**+-200 keep their bits: if all do, the groups come back as they are.
+    """
+    exponent = np.frexp(_magnitude(groups))[1]
+    shift = np.where(np.abs(exponent) > 200, exponent, 0)
+    if not shift.any():
+        return groups, shift
+    return [np.ldexp(arr, -shift[..., None]) for arr in groups], shift
+
+
+def _scaled_back(x, shift, what: str, labels: Sequence[str] = ()):
+    """``x``, computed on ``_rescaled`` groups, in the data's units: ``x * 2**shift``, exactly.
+
+    A number past the float maximum raises a ``ValidationError`` naming it by ``what``, where ``{!r}``
+    stands for the label of the first such group if ``x`` holds one number per group of ``labels``.
+    """
+    with np.errstate(all="ignore"):  # the check below reports an overflow
+        x = np.ldexp(x, shift)
+    finite = np.isfinite(x)
+    if not finite.all():
+        name = what.format(labels[int(np.argmin(finite))]) if labels else what
+        raise ValidationError(f"{name} overflows a float: the values are too large")
+    return x
+
+
+def _group_moments(groups: Sequence[np.ndarray]) -> tuple[list, list, object]:
     """Each group's mean and sum of squared deviations, and their total; every one-way statistic's start."""
     means, sums_sq = [], []
     for arr in groups:
@@ -437,22 +446,23 @@ def _group_moments(groups: Sequence[np.ndarray], faults: list) -> tuple[list, li
         d = _minus(arr, m)
         means.append(m)
         sums_sq.append(np.square(d, out=d).sum(axis=-1))  # d * d, in place
-    return means, sums_sq, _checked_sum(faults, sums_sq, "the sum of squares")
+    return means, sums_sq, sum(sums_sq)
 
 
 def _nonzero_variances(groups: Sequence[np.ndarray], labels: Sequence[str], faults: list) -> tuple[list, list]:
-    """Means and sample variances; rows where a group's variance is zero are flagged."""
-    means, sums_sq, _ = _group_moments(groups, faults)
+    """Means and sample variances; rows where a group's variance is zero, or too small to keep its digits, are flagged."""
+    means, sums_sq, _ = _group_moments(groups)
     variances = [ss / (arr.shape[-1] - 1) for arr, ss in zip(groups, sums_sq)]
-    for label, arr, v in zip(labels, groups, variances):
+    for label, arr, v, ss in zip(labels, groups, variances, sums_sq):
         zero = _sum_sq_is_zero(v * (arr.shape[-1] - 1), np.abs(arr).max(axis=-1), arr.shape[-1])
         _flag(faults, zero, DegenerateDataError, f"group {label!r} has zero sample variance")
+        # A subnormal sum of squares has lost the digits that a log or a weight needs.
+        _flag(faults, ss < sys.float_info.min, DegenerateDataError, f"group {label!r} has a variance too small to compute")
     return means, variances
 
 
 def _sum_sq_is_zero(ss, scale, count: int):
     # A sum of squares of `count` values with magnitudes ~`scale` that is
-    # this small can only be floating-point residue.  Past a scale of about
-    # 1e166 the bound is inf: any finite sum is residue.
+    # this small can only be floating-point residue.
     bound = _REL_ZERO * scale
     return ss <= count * (bound * bound)

@@ -22,7 +22,7 @@ import numpy as np
 from .errors import DegenerateDataError, ValidationError, _converted, _each_converted
 from .means import AdaptiveConfig, _welch
 from .numerics import CHI_SQUARED, STUDENT_T, DistributionSpec, _draw_rows, _stream_generators, chi_sq_sf, derive_seed, f_sf
-from .samples import CenterKind, _abs_deviations, as_center_kind
+from .samples import CenterKind, _abs_deviations, _rescaled, as_center_kind
 from .spread import _MIN_GROUP_SIZE, _bartlett, _box_anderson, _check_correction, _levene_f, _one_way_f, as_correction
 from .trend import ScoreSet, _side_p_values, _trend_slope, as_side
 
@@ -54,15 +54,15 @@ def _base_distribution(token: str) -> DistributionSpec:
 
 
 class _Chunk:
-    """Replicates as ``(R, n_i)`` blocks; a non-finite row is degenerate, and deviations are shared."""
+    """Replicates as ``(R, n_i)`` blocks, rescaled (only p-values leave); a non-finite row is degenerate."""
 
     def __init__(self, blocks: list[np.ndarray]) -> None:
-        self.blocks = blocks
         self.labels = tuple(f"g{i + 1}" for i in range(len(blocks)))
         # e.g. a t variate whose chi-squared draw underflowed to 0 at a tiny df
         self.degenerate = ~np.logical_and.reduce([np.isfinite(block).all(axis=1) for block in blocks])
         for block in blocks:
             block[self.degenerate] = 0.0  # never scored; zeros keep the kernels quiet
+        self.blocks = _rescaled(blocks)[0]
         self._deviations: dict[CenterKind, list[np.ndarray]] = {}
 
     def deviations(self, kind: CenterKind) -> list[np.ndarray]:
@@ -239,7 +239,7 @@ class Scenario:
         if len(set(canonical)) != len(canonical):
             raise ValidationError(f"scenario {self.name!r} lists duplicate tests {canonical!r}")
         object.__setattr__(self, "tests", canonical)
-        level = _converted(float, self.nominal_level)
+        level = _converted(float, self.nominal_level, f"scenario {self.name!r} nominal level")
         if not 0.0 < level < 1.0:
             raise ValidationError(
                 f"scenario {self.name!r} nominal level must lie in (0, 1), got {self.nominal_level!r}"
@@ -305,28 +305,21 @@ class SimulationReport:
         return {(c.scenario.name, c.test): c.rejection_rate for c in self.cells}
 
 
-def _outcomes(chunk: _Chunk, faults: list, p_value) -> tuple[np.ndarray, np.ndarray, np.ndarray, str | None]:
-    """Each row's p-value (NaN if degenerate), its degenerate and too-large flags, and the first row's message.
+def _outcomes(chunk: _Chunk, faults: list, p_value) -> tuple[np.ndarray, np.ndarray]:
+    """Each row's p-value (NaN if degenerate) and its degenerate flag.
 
     ``p_value(rows)`` gives the p-values of the rows a mask picks out, in one call over the rows without a fault.
-    A row is too large when its first failed check is a ``ValidationError``; the message is that error's text.
     """
     bad = chunk.degenerate.copy()
-    too_large = np.zeros_like(bad)
-    message = None
-    for rows, error in faults:
-        if isinstance(error, ValidationError):
-            first = np.broadcast_to(rows & ~bad, bad.shape)
-            too_large |= first
-            message = message or (str(error) if first[0] else None)
+    for rows, _ in faults:
         bad |= rows
     p_values = np.full(bad.shape, math.nan)
     p_values[~bad] = p_value(~bad)
-    return p_values, bad, too_large, message
+    return p_values, bad
 
 
-def _run_span(scenario: Scenario, start: int, stop: int) -> list[tuple[int, int, int, str | None]]:
-    """``(rejections, degenerate, too_large, message)`` per test over replicates ``start``..``stop - 1``."""
+def _run_span(scenario: Scenario, start: int, stop: int) -> list[tuple[int, int]]:
+    """``(rejections, degenerate)`` per test over replicates ``start``..``stop - 1``."""
     # Extreme draws overflow or divide by zero; the replicate is counted, not announced.
     with np.errstate(all="ignore"):
         try:
@@ -337,11 +330,10 @@ def _run_span(scenario: Scenario, start: int, stop: int) -> list[tuple[int, int,
         tallies = []
         for test, runner, _ in scenario._compiled:
             try:
-                p_values, bad, too_large, message = _outcomes(chunk, *runner(chunk))
+                p_values, bad = _outcomes(chunk, *runner(chunk))
             except ValidationError as exc:
                 raise ValidationError(f"scenario {scenario.name!r}: test {test!r}: {exc}") from None
-            rejections = int(np.count_nonzero(p_values < scenario.nominal_level))
-            tallies.append((rejections, int(bad.sum()), int(too_large.sum()), message))
+            tallies.append((int(np.count_nonzero(p_values < scenario.nominal_level)), int(bad.sum())))
     return tallies
 
 
@@ -409,10 +401,7 @@ def run_grid(scenarios: Sequence[Scenario], workers: int = 1) -> SimulationRepor
             if isinstance(part, Exception):
                 raise part
         for slot, test in enumerate(scenario.tests):
-            tallies = [part[slot] for part in partials]
-            rejections, errors, too_large = (sum(tally[i] for tally in tallies) for i in range(3))
-            if too_large == scenario.replications:  # then the cell, not a replicate, is at fault
-                raise ValidationError(f"scenario {scenario.name!r}: test {test!r}: {tallies[0][3]}")
+            rejections, errors = (sum(part[slot][i] for part in partials) for i in range(2))
             cells.append(CellResult(scenario=scenario, test=test, rejections=rejections, error_count=errors))
     return SimulationReport(cells=tuple(cells), elapsed=time.perf_counter() - started)
 

@@ -17,8 +17,8 @@ import numpy as np
 from .errors import DegenerateDataError, KurtosisError, ValidationError
 from .numerics import chi_sq_sf, f_sf
 from .samples import CenterKind, GroupedSample, as_center_kind
-from .samples import _centered, _checked_sum, _flag, _group_moments, _hines_hines, _magnitude, _minus
-from .samples import _nonzero_variances, _obrien, _one_replicate, _require_group_size, _square, _sum_sq_is_zero
+from .samples import _centered, _flag, _group_moments, _hines_hines, _magnitude, _minus, _nonzero_variances, _obrien
+from .samples import _one_replicate, _require_group_size, _rescaled, _square, _sum_sq_is_zero
 
 __all__ = [
     "TestResult", "CORRECTIONS", "as_correction", "levene_test", "bartlett_m", "kurtosis_estimate",
@@ -78,14 +78,14 @@ def _one_way_f(groups: Sequence[np.ndarray], labels: Sequence[str], faults: list
     """One-way fixed-effects F over the groups (the kernel of ``anova_f`` and ``levene_test``): (F, df1, df2)."""
     k = len(groups)
     sizes = [arr.shape[-1] for arr in groups]
-    means, _, within = _group_moments(groups, faults)
+    means, _, within = _group_moments(groups)
     total = sum(sizes)
     message = f"need more observations than groups to estimate within-group spread (N={total}, k={k})"
     _flag(faults, total <= k, DegenerateDataError, message)
     grand = sum(n * m for n, m in zip(sizes, means)) / total
-    squares = (n * _square(m - grand) for n, m in zip(sizes, means))
-    between = _checked_sum(faults, squares, "the between-groups sum of squares")
-    message = f"no within-group spread in any group (groups {', '.join(map(repr, labels))}): the F statistic is 0/0"
+    between = sum(n * _square(m - grand) for n, m in zip(sizes, means))
+    named = ", ".join(map(repr, labels[:5])) + (f", ... ({len(labels)} in all)" if len(labels) > 5 else "")
+    message = f"no within-group spread in any group (groups {named}): the F statistic is 0/0"
     _flag(faults, _sum_sq_is_zero(within, _magnitude(groups), total), DegenerateDataError, message)
     df1 = float(k - 1)
     df2 = float(total - k)
@@ -114,7 +114,7 @@ def levene_test(
     corr = as_correction(correction)
     _require_group_size(sample, _MIN_GROUP_SIZE[corr])
     _check_correction(kind, corr)
-    statistic, df1, df2 = _one_replicate(_levene_f, _centered(sample, kind)[1], sample.labels, corr)
+    statistic, df1, df2 = _one_replicate(_levene_f, _centered(_rescaled(sample.values)[0], kind)[1], sample.labels, corr)
     statistic = float(statistic)
     return TestResult("levene", statistic, df1, df2, f_sf(statistic, df1, df2), center=kind, correction=corr)
 
@@ -125,7 +125,7 @@ def _bartlett(groups: Sequence[np.ndarray], labels: Sequence[str], faults: list)
     sizes = [arr.shape[-1] for arr in groups]
     _, variances = _nonzero_variances(groups, labels, faults)
     total = sum(sizes)
-    within = _checked_sum(faults, ((n - 1) * v for n, v in zip(sizes, variances)), "the pooled sum of squares")
+    within = sum((n - 1) * v for n, v in zip(sizes, variances))
     pooled = within / (total - k)
     m_raw = (total - k) * np.log(pooled) - sum((n - 1) * np.log(v) for n, v in zip(sizes, variances))
     m_raw = np.maximum(m_raw, 0.0)  # clamp fp residue when variances are identical
@@ -135,14 +135,8 @@ def _bartlett(groups: Sequence[np.ndarray], labels: Sequence[str], faults: list)
 
 def _kurtosis(groups: Sequence[np.ndarray], faults: list):
     """Pooled kurtosis of the groups (see ``kurtosis_estimate``)."""
-    # Fourth powers of values far from 1 could overflow or underflow.  The
-    # ratio is scale-free, so rows whose largest magnitude is past 2**200
-    # either way are scaled by a power of two, which is exact.
-    exponent = np.frexp(_magnitude(groups))[1]
-    shift = np.where(np.abs(exponent) > 200, -exponent, 0)[..., None]
-    groups = [np.ldexp(arr, shift) for arr in groups]
     total = sum(arr.shape[-1] for arr in groups)
-    means, _, sum_sq = _group_moments(groups, faults)
+    means, _, sum_sq = _group_moments(groups)
     # Cancellation noise in the deviations is proportional to the raw magnitudes.
     zero = _sum_sq_is_zero(sum_sq, _magnitude(groups), total)
     _flag(faults, zero, DegenerateDataError, "kurtosis is undefined: every observation equals its group mean")
@@ -173,7 +167,7 @@ def bartlett_m(sample: GroupedSample) -> TestResult:
     correction factor ``c_factor``.
     """
     _require_group_size(sample, 2)
-    statistic, m_raw, c_factor = _one_replicate(_bartlett, sample.values, sample.labels)
+    statistic, m_raw, c_factor = _one_replicate(_bartlett, _rescaled(sample.values)[0], sample.labels)
     statistic = float(statistic)
     details = {"m_raw": float(m_raw), "c_factor": c_factor}
     return TestResult("bartlett", statistic, float(sample.k - 1), None, chi_sq_sf(statistic, sample.k - 1), details=details)
@@ -185,7 +179,7 @@ def kurtosis_estimate(sample: GroupedSample) -> float:
     Not excess kurtosis -- normal data give values near 3.
     """
     _require_group_size(sample)
-    return float(_one_replicate(_kurtosis, sample.values))
+    return float(_one_replicate(_kurtosis, _rescaled(sample.values)[0]))
 
 
 def box_anderson_b3(sample: GroupedSample) -> TestResult:
@@ -198,7 +192,7 @@ def box_anderson_b3(sample: GroupedSample) -> TestResult:
     The details mapping carries the Bartlett pieces and the kurtosis.
     """
     _require_group_size(sample, 2)
-    statistic, bartlett, m_raw, c_factor, kurt = _one_replicate(_box_anderson, sample.values, sample.labels)
+    statistic, bartlett, m_raw, c_factor, kurt = _one_replicate(_box_anderson, _rescaled(sample.values)[0], sample.labels)
     statistic, df1 = float(statistic), float(sample.k - 1)
     details = {"bartlett_statistic": float(bartlett), "m_raw": float(m_raw), "c_factor": c_factor, "kurtosis": float(kurt)}
     return TestResult("box-anderson", statistic, df1, None, chi_sq_sf(statistic, df1), details=details)

@@ -11,7 +11,6 @@ directional contrast.
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
 from typing import Sequence, Union
 
@@ -20,8 +19,8 @@ import numpy as np
 from .errors import DegenerateDataError, ValidationError, _each_converted
 from .numerics import std_normal_sf
 from .samples import CenterKind, GroupedSample, as_center_kind
-from .samples import _centered, _checked_sum, _flag, _group_moments, _magnitude, _one_replicate, _require_group_size
-from .samples import _square, _sum_sq_is_zero
+from .samples import _centered, _flag, _group_moments, _magnitude, _one_replicate, _require_group_size, _rescaled
+from .samples import _scaled_back, _square, _sum_sq_is_zero
 
 __all__ = ["SIDES", "as_side", "ScoreSet", "TrendResult", "trend_test"]
 
@@ -110,15 +109,12 @@ def _trend_slope(groups: Sequence[np.ndarray], scores: Sequence[float], faults: 
     one keeps the slope an explicit contrast in the group means.
     """
     sizes = [z.shape[-1] for z in groups]
-    dev_means, _, within = _group_moments(groups, faults)
+    dev_means, _, within = _group_moments(groups)
     total = sum(sizes)
     wbar = sum(n * w for n, w in zip(sizes, scores)) / total
-    denom = _checked_sum(faults, (n * _square(w - wbar) for n, w in zip(sizes, scores)), "the scores' sum of squares")
-    message = f"scores {tuple(scores)!r} are too close together: their sum of squares underflows"
-    _flag(faults, denom < sys.float_info.min, ValidationError, message)
+    denom = sum(n * _square(w - wbar) for n, w in zip(sizes, scores))
     grand = sum(dev_means) / len(dev_means)
-    contrast = (n * (w - wbar) * (m - grand) for n, w, m in zip(sizes, scores, dev_means))
-    beta = _checked_sum(faults, contrast, "the trend contrast") / denom
+    beta = sum(n * (w - wbar) * (m - grand) for n, w, m in zip(sizes, scores, dev_means)) / denom
     std_error = np.sqrt(within / (total - len(groups)) / denom)
     zero = (std_error == 0.0) | _sum_sq_is_zero(within, _magnitude(groups), total)
     _flag(faults, zero, DegenerateDataError, "no within-group deviation spread: the slope's standard error is zero")
@@ -148,6 +144,10 @@ def trend_test(
     _require_group_size(sample, 2)
     kind = as_center_kind(center)
     w = _as_scores(scores, sample.k)
-    beta, std_error, z_statistic = _one_replicate(_trend_slope, _centered(sample, kind)[1], w.w)
+    groups, shift = _rescaled(sample.values)
+    (scaled_w,), w_shift = _rescaled([np.array(w.w)])  # z is scale-free in the scores too
+    beta, std_error, z_statistic = _one_replicate(_trend_slope, _centered(groups, kind)[1], scaled_w.tolist())
+    beta = _scaled_back(beta, shift - w_shift, "the trend slope")
+    std_error = _scaled_back(std_error, shift - w_shift, "the trend slope's standard error")
     p = map(float, _side_p_values(float(z_statistic)).values())  # in the order of SIDES
     return TrendResult(float(beta), float(std_error), float(z_statistic), *p, center=kind, scores=w.w)

@@ -17,7 +17,6 @@ from vartests import (
     DegenerateDataError,
     GroupedSample,
     Scenario,
-    ValidationError,
     adaptive_anova,
     anova_f,
     bartlett_m,
@@ -48,8 +47,9 @@ LABELS = (
 # How a row of the stacked blocks is made.  Besides plain data: ties
 # (integer values), a constant group, every group of the form c +- a (a
 # pooled kurtosis of exactly 1 when every group has even size), a
-# non-finite value, and values near 1e200 whose squares overflow.
-ROW_KINDS = ("plain", "ties", "constant", "two-point", "non-finite", "huge")
+# non-finite value, and values near 1e200 or 1e-200, whose squares
+# overflow or underflow unless the row is rescaled.
+ROW_KINDS = ("plain", "ties", "constant", "two-point", "non-finite", "huge", "tiny")
 
 
 def _row(kind, sizes, rng):
@@ -64,6 +64,8 @@ def _row(kind, sizes, rng):
         groups[-1][0] = rng.choice([np.nan, np.inf])
     elif kind == "huge":
         groups = [1e200 * g for g in groups]
+    elif kind == "tiny":
+        groups = [1e-200 * g for g in groups]
     return groups
 
 
@@ -82,7 +84,7 @@ _LIBRARY = {
 
 
 def _scalar_outcome(label, groups):
-    """A p-value, or the kind of failure, from the library's call on one replicate."""
+    """A p-value, or "degenerate", from the library's call on one replicate."""
     if not all(np.isfinite(g).all() for g in groups):
         return "degenerate"
     name, *options = label.split(":")
@@ -90,8 +92,6 @@ def _scalar_outcome(label, groups):
         return _LIBRARY[name](GroupedSample(tuple((f"g{i + 1}", g) for i, g in enumerate(groups))), *options)
     except DegenerateDataError:
         return "degenerate"
-    except ValidationError:
-        return "too large"
 
 
 @settings(max_examples=40)
@@ -109,8 +109,8 @@ def test_a_chunk_gives_the_bits_of_one_call_per_replicate(sizes, kinds, seed):
         runner = sim._compile(label)[1]
         with np.errstate(all="ignore"):  # as in the simulator
             chunk = sim._Chunk([np.array([row[g] for row in rows]) for g in range(len(sizes))])
-            p_values, bad, too_large, _ = sim._outcomes(chunk, *runner(chunk))
-        batched = ["too large" if big else "degenerate" if b else p for p, b, big in zip(p_values, bad, too_large)]
+            p_values, bad = sim._outcomes(chunk, *runner(chunk))
+        batched = ["degenerate" if b else p for p, b in zip(p_values, bad)]
         expected = [_scalar_outcome(label, row) for row in rows]
         assert batched == expected, f"{label} on rows {kinds}"
 
@@ -181,18 +181,46 @@ def test_seeded_tallies_are_unchanged(grid):
     assert [(c.rejections, c.error_count) for c in cells] == [(r, 0) for r in _GOLDEN[grid]]
 
 
-def test_a_cell_too_large_in_every_replicate_stops_the_run():
-    scenario = Scenario("bad", "normal", (5, 5), (1.0, 1e200), None, ("anova", "levene"), 0.05, 30, 3)
-    with pytest.raises(ValidationError, match="^scenario 'bad': test 'anova': the sum of squares overflows"):
-        run_grid((scenario,))
+def test_a_cell_whose_squares_overflow_is_scored_as_at_scale_1():
+    # Values near 2**665 once made every replicate "too large"; a power-of-two scale changes no tally.
+    tests = ("anova", "levene")
+    huge, plain = (Scenario(name, "normal", (5, 5), ratios, None, tests, 0.05, 30, 3)
+                   for name, ratios in (("huge", (1.0, 2.0**665)), ("plain", (2.0**-665, 1.0))))
+    cells = run_grid((huge, plain)).cells
+    assert [(c.rejections, c.error_count) for c in cells[:2]] == [(c.rejections, c.error_count) for c in cells[2:]]
+    assert all(c.error_count == 0 for c in cells)
 
 
-def test_too_large_is_judged_over_the_whole_cell(monkeypatch):
-    # At df 0.02 some replicates draw finite values too large to square.
-    # In chunks of one replicate such a chunk is too large throughout,
-    # yet the cell is not.
-    monkeypatch.setattr(sim, "_CHUNK", 1)
+# The labels of the null-size acceptance check.
+_CANONICAL = (
+    "anova", "welch", "adaptive", "bartlett", "box-anderson", "levene:mean", "levene:median", "levene:trimmed",
+    "levene:median:hines-hines", "levene:median:obrien", "trend:median:two-sided",
+)
+
+
+@pytest.mark.parametrize("distribution", ["normal", "student-t:3", "chi-squared:3"])
+def test_sigma_ratios_times_2_to_the_600_either_way_change_no_tally(distribution):
+    # A power of two scales every draw exactly, and the rescaled rows are the plain ones times a power of two.
+    def scenario(name, factor):
+        ratios = tuple(factor * r for r in (1.0, 2.0, 3.0))
+        return Scenario(name, distribution, (6, 9, 12), ratios, None, _CANONICAL, 0.05, 600, 17)
+
+    cells = run_grid([scenario("plain", 1.0), scenario("huge", 2.0**600), scenario("tiny", 2.0**-600)]).cells
+    tallies = [(c.rejections, c.error_count) for c in cells]
+    n = len(_CANONICAL)
+    assert tallies[:n] == tallies[n : 2 * n] == tallies[2 * n :]
+    assert sum(rejections for rejections, _ in tallies[:n]) > 0
+
+
+def test_only_non_finite_draws_are_degenerate_at_a_tiny_df(monkeypatch):
+    # At df 0.02 draws reach far past 1e154, where squares once overflowed,
+    # and some are not finite.  In chunks of one replicate or of all, the
+    # non-finite rows, and only they, are degenerate in every cell.
     tests = ("levene", "anova", "bartlett", "trend")
     scenario = Scenario("heavy", "student-t:0.02", (5, 5, 5), (1.0,) * 3, None, tests, 0.05, 200, derive_seed(2, 0))
-    cells = run_grid((scenario,)).cells
-    assert all(0 < cell.error_count < 200 for cell in cells)
+    with np.errstate(all="ignore"):  # as in the simulator
+        non_finite = int(sim._draw_chunk(scenario, 0, 200).degenerate.sum())
+    assert 0 < non_finite < 200
+    for chunk in (1, 512):
+        monkeypatch.setattr(sim, "_CHUNK", chunk)
+        assert [cell.error_count for cell in run_grid((scenario,)).cells] == [non_finite] * len(tests)

@@ -1,6 +1,7 @@
 """Command-line interface: formats, exit codes, and reproducible output."""
 
 import json
+import os
 import subprocess
 import sys
 
@@ -312,10 +313,19 @@ class TestTrendCommand:
         proc = run_cli("trend", "--input", three_group_csv, "--scores", "1,2")
         assert proc.returncode == 2
 
-    def test_scores_too_close_together_exit_2(self, toy_csv):
-        proc = run_cli("trend", "--input", toy_csv, "--scores", "1e-170,2e-170")
+    def test_scores_close_together_give_the_z_of_scores_1_apart(self, toy_csv):
+        close = run_cli("trend", "--input", toy_csv, "--scores", "1e-170,2e-170")
+        assert close.returncode == 0, close.stderr
+        doc, base = json.loads(close.stdout), json.loads(run_cli("trend", "--input", toy_csv, "--scores", "1,2").stdout)
+        assert doc["z_statistic"] == pytest.approx(base["z_statistic"], rel=1e-14)
+        assert doc["beta_hat"] == pytest.approx(base["beta_hat"] * 1e170, rel=1e-14)
+
+    def test_a_slope_too_large_for_a_float_exits_2(self, tmp_path):
+        path = tmp_path / "wide-apart.csv"
+        path.write_text("group,value\na,1e10\na,2e10\na,3e10\nb,2e10\nb,4e10\nb,6e10\n")
+        proc = run_cli("trend", "--input", str(path), "--scores", "0,1e-300")
         assert proc.returncode == 2
-        assert "too close together" in proc.stderr
+        assert proc.stderr == "error: the trend slope overflows a float: the values are too large\n"
 
     def test_bad_group_order(self, three_group_csv):
         proc = run_cli("trend", "--input", three_group_csv, "--group-order", "a,b,c")
@@ -480,8 +490,9 @@ class TestSimulateFaults:
         assert len(rows) == 4 and all(int(row.split(",")[-1]) > 0 for row in rows)
 
     @pytest.mark.parametrize("seed", ["2", "3"])
-    def test_a_finite_draw_too_large_to_square_is_a_degenerate_replicate(self, tmp_path, seed):
-        # At df 0.02 a t draw can be finite yet beyond 1e154, so its square overflows.
+    def test_only_non_finite_draws_are_degenerate_replicates(self, tmp_path, seed):
+        # At df 0.02 a t draw can be finite yet beyond 1e154, where its square
+        # would overflow: such a replicate is scored, not tallied as an error.
         grid = tmp_path / "g.txt"
         grid.write_text(
             "scenario = heavy\ndistribution = student-t:0.02\ngroup_sizes = 5, 5, 5\n"
@@ -504,12 +515,8 @@ class TestSimulateFaults:
                 "group_sizes = 2, 3\nsigma_ratios = 1, 1\ntests = levene:median:hines-hines\n",
                 "test 'levene:median:hines-hines': group 'g1' has size 2; this test needs at least 3",
             ),
-            (
-                "group_sizes = 5, 5\nsigma_ratios = 1, 1e200\ntests = anova\n",
-                "test 'anova': the sum of squares overflows a float: the values are too large (keep them within 1e150)",
-            ),
         ],
-        ids=["group-too-small", "values-too-large"],
+        ids=["group-too-small"],
     )
     def test_errors_name_the_scenario_and_the_test(self, tmp_path, bad, message):
         grid = tmp_path / "g.txt"
@@ -518,6 +525,14 @@ class TestSimulateFaults:
         proc = run_cli("simulate", "--grid", str(grid), "--seed", "1", "--out", str(tmp_path / "o.csv"))
         assert proc.returncode == 2
         assert proc.stderr == f"error: scenario 'bad': {message}\n"
+
+    def test_values_whose_squares_overflow_are_scored(self, tmp_path):
+        grid = tmp_path / "g.txt"
+        grid.write_text("scenario = huge\ngroup_sizes = 5, 5\nsigma_ratios = 1, 1e200\ntests = anova\nreplications = 20\n")
+        proc = run_cli("simulate", "--grid", str(grid), "--seed", "1", "--out", str(tmp_path / "o.csv"))
+        assert proc.returncode == 0, proc.stderr
+        row = (tmp_path / "o.csv").read_text().splitlines()[1].split(",")
+        assert row[9] == "anova" and row[10] != "nan" and row[12] == "0"
 
     @pytest.mark.parametrize("workers", ["1", "2"])
     def test_a_chunk_too_large_to_shape_names_the_scenario(self, tmp_path, workers):
@@ -575,12 +590,49 @@ class TestExitContract:
         assert cli.main(argv) == 2
         assert capsys.readouterr().err == "error: out of memory" + (f": {detail}" if detail else "") + "\n"
 
-    def test_a_center_that_overflows_exits_2_as_too_large(self, tmp_path, capsys):
+    def test_a_report_variance_that_overflows_exits_2_as_too_large(self, tmp_path, capsys):
+        # The mean center's sum overflows at the values' own scale; the variance overflows at any.
         path = tmp_path / "near-max.csv"
         path.write_text("group,value\na,1.7e308\na,1.7e308\na,1\nb,1\nb,2\nb,4\n")
         assert cli.main(["test", "--center", "mean", "--input", str(path)]) == 2
-        message = "the mean center or the deviations of group 'a' overflow a float"
-        assert capsys.readouterr().err == f"error: {message}: the values are too large (keep them within 1e150)\n"
+        assert capsys.readouterr().err == "error: the variance of group 'a' overflows a float: the values are too large\n"
+
+
+    @staticmethod
+    def _many_groups(path, values):
+        """A dataset of 20,000 groups, g0 to g19999, each holding ``values(i)``."""
+        path.write_text("group,value\n" + "".join(f"g{i},{v}\n" for i in range(20_000) for v in values(i)))
+        return str(path)
+
+    def test_a_report_into_a_closed_pipe_exits_2_with_one_line(self, tmp_path):
+        # As `vartests test ... | head -c 20`: the report is megabytes, the pipe takes 64 KiB.
+        path = self._many_groups(tmp_path / "wide.csv", lambda i: (1, 2, 4))
+        proc = subprocess.Popen([*CLI, "test", "--input", path], stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+        assert len(proc.stdout.read(20)) == 20
+        proc.stdout.close()
+        err = proc.stderr.read()
+        assert proc.wait() == 2
+        assert err == "error: cannot write the report: [Errno 32] Broken pipe\n"
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full on this platform")
+    @pytest.mark.parametrize("what", ["report", "summary"])
+    def test_stdout_on_a_full_device_exits_2_with_one_line(self, toy_csv, tmp_path, what):
+        if what == "report":
+            argv = ["test", "--input", toy_csv]
+        else:
+            argv = ["simulate", "--grid", "table1", "--seed", "1", "--reps", "4", "--out", str(tmp_path / "o.csv")]
+        with open("/dev/full", "w") as full:
+            proc = subprocess.run([*CLI, *argv], stdout=full, stderr=subprocess.PIPE, text=True)
+        assert proc.returncode == 2
+        assert proc.stderr == f"error: cannot write the {what}: [Errno 28] No space left on device\n"
+
+    def test_a_degenerate_message_names_five_groups_and_the_count(self, tmp_path):
+        path = self._many_groups(tmp_path / "flat.csv", lambda i: (i, i))
+        proc = run_cli("test", "--center", "mean", "--input", path)
+        assert proc.returncode == 3
+        groups = "'g0', 'g1', 'g2', 'g3', 'g4', ... (20000 in all)"
+        assert proc.stderr == f"error: degenerate data: no within-group spread in any group (groups {groups}): the F statistic is 0/0\n"
+        assert len(proc.stderr) < 200
 
 
 def test_importing_the_cli_starts_no_process_machinery():

@@ -10,8 +10,11 @@ import functools
 import pytest
 
 from vartests import (
+    AdaptiveConfig,
     DeviationSet,
     GroupedSample,
+    Scenario,
+    ScoreSet,
     ValidationError,
     adaptive_anova,
     anova_f,
@@ -19,12 +22,15 @@ from vartests import (
     box_anderson_b3,
     center,
     deviations,
+    expected_mean_deviation,
+    f_sf,
     hines_hines_correct,
     kurtosis_estimate,
     levene_test,
     obrien_scale,
     run_grid,
     trend_test,
+    trimmed,
     welch_anova,
 )
 from vartests.numerics import DistributionSpec
@@ -32,21 +38,37 @@ from vartests.numerics import DistributionSpec
 SAMPLE = GroupedSample((("a", [1.0, 2.0, 4.0]), ("b", [2.0, 5.0, 9.0])))
 
 
-@pytest.mark.parametrize(
-    "call",
-    [
-        lambda: GroupedSample.from_columns(["a", "b"], ["x", "y"]),
-        lambda: center("abc", "mean"),
-        lambda: center([[1, 2], [3, 4]], "median"),
-        lambda: DistributionSpec("student-t", "x"),
-        lambda: DeviationSet(SAMPLE.groups, "median", "ab"),
-        lambda: DeviationSet(SAMPLE.groups, "median", (2.0, 5.0), df_adjustment="x"),
-    ],
-    ids=["from-columns-text", "center-text", "center-2d", "shape-text", "centers-string", "df-adjustment-text"],
-)
-def test_a_value_that_does_not_convert_is_a_validation_error(call):
-    with pytest.raises(ValidationError):
+# Each call, and the name of the argument its error must give.
+_UNCONVERTED = {
+    "from-columns-text": (lambda: GroupedSample.from_columns(["a", "b"], ["x", "y"]), "values: "),
+    "group-text": (lambda: GroupedSample((("a", [1.0, "x"]), ("b", [2.0]))), "group 'a' values: "),
+    "center-text": (lambda: center("abc", "mean"), "values: "),
+    "center-2d": (lambda: center([[1, 2], [3, 4]], "median"), "2-D values"),
+    "shape-text": (lambda: DistributionSpec("student-t", "x"), "shape: "),
+    "centers-string": (lambda: DeviationSet(SAMPLE.groups, "median", "ab"), "centers must be a sequence"),
+    "centers-text": (lambda: DeviationSet(SAMPLE.groups, "median", (2.0, "x")), "centers: "),
+    "df-adjustment-text": (lambda: DeviationSet(SAMPLE.groups, "median", (2.0, 5.0), df_adjustment="x"), "df_adjustment: "),
+    "trim-text": (lambda: trimmed("x"), "trim proportion: "),
+    "sigma-text": (lambda: expected_mean_deviation("x", 3), "sigma: "),
+    "level-text": (lambda: AdaptiveConfig(preliminary_level="x"), "preliminary level: "),
+    "scores-text": (lambda: ScoreSet(("a", "b")), "scores: "),
+    "tail-text": (lambda: f_sf("a", 1.0, 2.0), "the arguments of f_sf: "),
+    "nominal-level-text": (
+        lambda: Scenario("s", "normal", (5, 5), (1, 1), None, ("anova",), "x", 10, 1),
+        "scenario 's' nominal level: ",
+    ),
+    "ratios-text": (
+        lambda: Scenario("s", "normal", (5, 5), (1, "y"), None, ("anova",), 0.05, 10, 1),
+        "scenario 's' sigma ratios: ",
+    ),
+}
+
+
+@pytest.mark.parametrize("call, field", list(_UNCONVERTED.values()), ids=list(_UNCONVERTED))
+def test_a_value_that_does_not_convert_is_a_validation_error_naming_the_argument(call, field):
+    with pytest.raises(ValidationError) as caught:
         call()
+    assert field in str(caught.value)
 
 
 def test_a_shape_given_as_text_is_converted():

@@ -146,7 +146,7 @@ class TestScenarioValidation:
             null_scenario(**{field: value})
 
     def test_a_piece_that_does_not_convert_keeps_the_converters_message(self):
-        with pytest.raises(ValidationError, match="^could not convert string to float: 'y'$"):
+        with pytest.raises(ValidationError, match="^scenario 'null' sigma ratios: could not convert string to float: 'y'$"):
             null_scenario(sigma_ratios=("1", "y", "1"))
         assert null_scenario(group_sizes=("8", 8.0, 8)).group_sizes == (8, 8, 8)
 

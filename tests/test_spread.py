@@ -89,8 +89,8 @@ class TestLeveneOracle:
         custom = levene_test(s, trimmed(0.1))
         assert custom.center.trim_proportion == 0.1
 
-    # A center, a deviation, a fold and O'Brien's rescaling that overflow, and values whose squares do.
-    _OVERFLOWING = (
+    # Values whose center, deviations, fold, O'Brien rescaling or squares overflow at their own scale.
+    _EXTREME = (
         ([1.0, 2.0, 4.0], [1.7e308, 1.7e308, 1.7e308, 1.0]),
         ([1.0, 2.0, 4.0], [-1.7e308, -1.7e308, -1.7e308, -1.7e308, 1.7e308]),
         ([1.0, 2.0, 3.0, 5.0], [-1.7e308, 1.7e308, -1.7e308, 1.7e308]),
@@ -107,26 +107,44 @@ class TestLeveneOracle:
             return type(exc), str(exc)
         return result.statistic, result.df1, result.df2, result.p_value
 
+    _CORRECT = {"none": lambda dev: dev, "hines-hines": hines_hines_correct, "obrien": obrien_scale}
+
+    @classmethod
+    def _cases(cls):
+        """Each (center, correction name, correction) that a Levene test takes."""
+        assert tuple(cls._CORRECT) == CORRECTIONS
+        for kind in CENTERS:
+            for correction, correct in cls._CORRECT.items():
+                if correction != "hines-hines" or kind == "median":
+                    yield kind, correction, correct
+
     def test_agrees_with_anova_on_deviations(self):
         # Levene's test is, by definition, the one-way ANOVA F computed on
         # the absolute deviations (corrected as requested): a deviation set
-        # is a grouped sample, and the two calls must agree bit for bit, or
-        # raise the same error.
-        corrections = {"none": lambda dev: dev, "hines-hines": hines_hines_correct, "obrien": obrien_scale}
-        assert tuple(corrections) == CORRECTIONS
+        # is a grouped sample, and the two calls must agree bit for bit.
         rng = np.random.default_rng(42)
-        drawn = [(random_sample(rng, scales=[1.0, 3.0, 1.5]), False) for _ in range(25)]
-        overflowing = [(make_sample(*groups), True) for groups in self._OVERFLOWING]
-        assert isinstance(deviations(drawn[0][0], "median"), GroupedSample)
-        for s, overflows in drawn + overflowing:
-            for kind in CENTERS:
-                for correction, correct in corrections.items():
-                    if correction == "hines-hines" and kind != "median":
-                        continue
-                    direct = self._outcome(lambda: levene_test(s, kind, correction))
-                    via_anova = self._outcome(lambda: anova_f(correct(deviations(s, kind))))
-                    assert direct == via_anova
-                    assert (direct[0] is ValidationError) == overflows, (kind, correction, direct)
+        drawn = [random_sample(rng, scales=[1.0, 3.0, 1.5]) for _ in range(25)]
+        assert isinstance(deviations(drawn[0], "median"), GroupedSample)
+        for s in drawn:
+            for kind, correction, correct in self._cases():
+                direct = self._outcome(lambda: levene_test(s, kind, correction))
+                assert direct == self._outcome(lambda: anova_f(correct(deviations(s, kind))))
+
+    def test_extreme_values_give_the_statistic_at_scale_1(self):
+        # The test itself never overflows.  On the way through deviations,
+        # which carry the data's units, a deviation past the float maximum
+        # is too large; otherwise the ANOVA on them gives the same numbers.
+        for groups in self._EXTREME:
+            s = make_sample(*groups)
+            small = make_sample(*(np.ldexp(g, -1000) for g in groups))
+            for kind, correction, correct in self._cases():
+                direct = self._outcome(lambda: levene_test(s, kind, correction))
+                assert direct == pytest.approx(self._outcome(lambda: levene_test(small, kind, correction)), rel=1e-12)
+                via_anova = self._outcome(lambda: anova_f(correct(deviations(s, kind))))
+                if via_anova[0] is ValidationError:
+                    assert via_anova[1].endswith("overflows a float: the values are too large"), (kind, correction)
+                else:
+                    assert via_anova == pytest.approx(direct, rel=1e-12), (kind, correction)
 
 
 class TestOnePath:
@@ -210,14 +228,26 @@ class TestLeveneInvariance:
         scaled = levene_test(make_sample(*arrays), "median", "obrien")
         assert scaled.statistic != pytest.approx(plain.statistic, abs=1e-9)
 
-    def test_obrien_overflow_is_too_large_and_quiet(self):
-        # Finite deviations near the float maximum overflow when rescaled.
-        sample = make_sample([0.0, 1.7e308, -1.7e308], [1.0, 2.0, 3.0])
+    def test_a_common_scale_of_1e_162_gives_the_f_and_p_of_scale_1(self):
+        # Squares of these deviations are subnormal: without rescaling, F was 0 and p 1.
+        rng = np.random.default_rng(0)
+        groups = [rng.normal(0.0, sigma, size=8) for sigma in (1.0, 1.5, 2.0)]
+        plain = levene_test(make_sample(*groups))
+        assert plain.statistic == pytest.approx(2.6182, abs=1e-4)
+        for correction in CORRECTIONS:
+            plain = levene_test(make_sample(*groups), "median", correction)
+            tiny = levene_test(make_sample(*(1e-162 * g for g in groups)), "median", correction)
+            assert (tiny.statistic, tiny.p_value) == pytest.approx((plain.statistic, plain.p_value), rel=1e-12)
+
+    def test_obrien_overflow_is_too_large_only_in_the_deviations_and_quiet(self):
+        # Finite deviations near the float maximum overflow when rescaled; the test statistic does not.
+        groups = ([0.0, 1.7e308, -1.7e308], [1.0, 2.0, 3.0])
+        sample = make_sample(*groups)
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
-            with pytest.raises(ValidationError, match="group 'g1' overflow a float: the values are too large"):
-                levene_test(sample, "median", "obrien")
-            with pytest.raises(ValidationError, match="too large"):
+            at_scale_1 = levene_test(make_sample(*(np.ldexp(g, -1024) for g in groups)), "median", "obrien")
+            assert levene_test(sample, "median", "obrien") == at_scale_1
+            with pytest.raises(ValidationError, match="^a rescaled deviation in group 'g1' overflows a float: the values are too large$"):
                 obrien_scale(deviations(sample, "median"))
 
 

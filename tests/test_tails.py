@@ -239,4 +239,4 @@ def test_arguments_that_do_not_convert_raise_validation_error_with_numpys_messag
         message = str(exc)
     with pytest.raises(ValidationError) as caught:
         fn(*args)
-    assert str(caught.value) == message
+    assert str(caught.value) == f"the arguments of {fn.__name__}: {message}"

@@ -151,7 +151,7 @@ class TestScores:
     def test_scores_that_are_not_numbers_keep_the_converters_message(self):
         s = make_sample([1.0, 2.0, 4.0], [2.0, 5.0, 9.0])
         for call in (lambda: trend_test(s, scores=("a", "b")), lambda: ScoreSet(("a", "b"))):
-            with pytest.raises(ValidationError, match="^could not convert string to float: 'a'$"):
+            with pytest.raises(ValidationError, match="^scores: could not convert string to float: 'a'$"):
                 call()
 
     @pytest.mark.parametrize("scores", ["12", b"12"])
@@ -161,11 +161,26 @@ class TestScores:
         with pytest.raises(ValidationError, match="^scores must be a sequence, not the string"):
             trend_test(make_sample([1.0, 2.0], [2.0, 5.0]), scores=scores)
 
-    @pytest.mark.parametrize("scores", [(1e-170, 2e-170), (0.0, 5e-324)])
-    def test_scores_whose_sum_of_squares_underflows(self, scores):
+    def test_scores_whose_sum_of_squares_underflows_give_the_z_of_scores_1_apart(self):
         # Distinct, but their weighted sum of squares is below the smallest normal double.
-        with pytest.raises(ValidationError, match="too close together"):
-            trend_test(make_sample([1.0, 2.0, 4.0], [2.0, 5.0, 9.0]), scores=scores)
+        s = make_sample([1.0, 2.0, 4.0], [2.0, 5.0, 9.0])
+        base, close = trend_test(s, scores=(1.0, 2.0)), trend_test(s, scores=(1e-170, 2e-170))
+        assert close.z_statistic == pytest.approx(base.z_statistic, rel=1e-14)
+        assert close.beta_hat == pytest.approx(base.beta_hat * 1e170, rel=1e-14)
+        assert close.std_error == pytest.approx(base.std_error * 1e170, rel=1e-14)
+        # A slope of 1.3 per 5e-324 has units, and is past the float maximum.
+        with pytest.raises(ValidationError, match="^the trend slope overflows a float: the values are too large$"):
+            trend_test(s, scores=(0.0, 5e-324))
+
+    @pytest.mark.parametrize("factor", [1e-150, 1e300])
+    def test_scores_far_from_1_give_the_z_of_scores_1_2_3(self, factor):
+        rng = np.random.default_rng(7)
+        s = make_sample(*(rng.normal(0.0, sigma, size=9) for sigma in (1.0, 1.5, 2.0)))
+        base = trend_test(s, scores=(1.0, 2.0, 3.0))
+        scaled = trend_test(s, scores=(factor, 2.0 * factor, 3.0 * factor))
+        assert scaled.z_statistic == pytest.approx(base.z_statistic, rel=1e-13)
+        assert scaled.beta_hat == pytest.approx(base.beta_hat / factor, rel=1e-13)
+        assert scaled.std_error == pytest.approx(base.std_error / factor, rel=1e-13)
 
     def test_scoreset_linear(self):
         assert ScoreSet.linear(3).w == (1.0, 2.0, 3.0)
