@@ -1,5 +1,6 @@
-"""Shared pytest wiring: one Hypothesis profile, and the acceptance checklist printed after the run."""
+"""Shared pytest wiring: one Hypothesis profile, a fresh dataset cache per test, and the acceptance checklist printed after the run."""
 
+import pytest
 from hypothesis import settings
 
 # Every property suite draws the same examples on every run, so a failure
@@ -8,6 +9,17 @@ settings.register_profile("vartests", derandomize=True, deadline=None)
 settings.load_profile("vartests")
 
 ACCEPTANCE_LOG: list[str] = []
+
+
+@pytest.fixture(autouse=True)
+def _fresh_dataset_cache(tmp_path_factory):
+    """Every test, and every CLI process it starts, reads and writes its own empty dataset cache, never the user's.
+
+    A patch of its own, so that a test's ``monkeypatch.undo()`` leaves it set.
+    """
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setenv("XDG_CACHE_HOME", str(tmp_path_factory.mktemp("cache")))
+        yield
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

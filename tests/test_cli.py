@@ -526,6 +526,26 @@ class TestSimulateFaults:
         assert proc.returncode == 2
         assert proc.stderr == f"error: scenario 'bad': {message}\n"
 
+    @pytest.mark.parametrize(
+        "line, message",
+        [
+            ("replications = abc", "scenario 's1': replications: invalid literal for int() with base 10: 'abc'"),
+            ("master_seed = 1.5", "scenario 's1': master_seed: invalid literal for int() with base 10: '1.5'"),
+            ("nominal_level = x", "scenario 's1': nominal_level: could not convert string to float: 'x'"),
+            ("master_seed = -1", "scenario 's1' master seed must be an integer in [0, 2**64), got -1"),
+            ("replications = 0", "scenario 's1' replications must be a positive integer, got 0"),
+            ("mean_shifts = 0", "scenario 's1' has 1 mean shifts for 2 groups"),
+            ("distribution = normal", "scenario 's1': missing key 'tests'"),
+        ],
+        ids=["bad-replications", "bad-master-seed", "bad-level", "negative-seed", "zero-replications", "short-list", "missing-key"],
+    )
+    def test_scenario_file_errors_name_the_scenario_once_and_the_key(self, tmp_path, capsys, line, message):
+        grid = tmp_path / "g.txt"
+        tests = "" if line.startswith("distribution") else "tests = anova\n"
+        grid.write_text(f"scenario = s1\ngroup_sizes = 5, 5\nsigma_ratios = 1, 1\n{tests}{line}\n")
+        assert cli.main(["simulate", "--grid", str(grid), "--seed", "1", "--out", str(tmp_path / "o.csv")]) == 2
+        assert capsys.readouterr() == ("", f"error: {grid}: {message}\n")
+
     def test_values_whose_squares_overflow_are_scored(self, tmp_path):
         grid = tmp_path / "g.txt"
         grid.write_text("scenario = huge\ngroup_sizes = 5, 5\nsigma_ratios = 1, 1e200\ntests = anova\nreplications = 20\n")

@@ -3,16 +3,17 @@
 ``cli._read_dataset`` parses plain blocks of a file in bulk and hands
 anything else to the csv row loop; a large plain file is parsed in parts
 by forked workers.  Whatever path a file takes, the groups must be
-byte-identical and every error must carry the same message.  Four
+byte-identical and every error must carry the same message.  Five
 readings of each file are compared: the default reader, the reader with
-tiny blocks (so block boundaries fall mid-file), the row loop alone, and
-the split reader forced onto the file (so that it is cut into 2-3 parts).
-Successful readings are also checked against a plain ``csv.DictReader``
-loop with per-label buckets.
+tiny blocks (so block boundaries fall mid-file), the row loop alone, the
+split reader forced onto the file (so that it is cut into 2-3 parts), and
+a hit in the dataset cache.  Successful readings are also checked against
+a plain ``csv.DictReader`` loop with per-label buckets.
 """
 
 import contextlib
 import csv
+import hashlib
 import os
 import subprocess
 import sys
@@ -41,8 +42,31 @@ def _force_split(mp, cpus=3):
     mp.setattr(cli, "_usable_cpus", lambda: cpus)
 
 
+def _no_parse(*args):
+    raise AssertionError("a file with a cache entry was parsed")
+
+
+def _entry(path):
+    """The dataset cache's entry for the file at ``path``, as a path."""
+    with open(path, "rb") as handle:
+        digest = hashlib.sha256(handle.read()).hexdigest()
+    return os.path.join(cli._cache_dir(), digest + cli._CACHE_SUFFIX)
+
+
+def _cached_outcome(path, group_order=None):
+    """The outcome of a read that stores the file's cache entry, then of one that loads it."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cli, "_MIN_CACHED_BYTES", 1)
+        stored = _outcome(path, group_order)
+        if os.path.exists(_entry(path)):
+            mp.setattr(cli, "_read_columns", _no_parse)
+        else:
+            assert stored[0] == "error"
+        return _outcome(path, group_order)
+
+
 def _readings(path, group_order=None, block_chars=7):
-    """(default reader, tiny blocks, row loop only, split reader) outcomes for one file."""
+    """(default reader, tiny blocks, row loop only, split reader, cache hit) outcomes for one file."""
     default = _outcome(path, group_order)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(cli, "_BLOCK_BYTES", block_chars)
@@ -54,7 +78,7 @@ def _readings(path, group_order=None, block_chars=7):
         _force_split(mp)
         mp.setattr(cli, "_BLOCK_BYTES", block_chars)
         split = _outcome(path, group_order)
-    return default, small_blocks, rows_only, split
+    return default, small_blocks, rows_only, split, _cached_outcome(path, group_order)
 
 
 def _dictreader_groups(path, group_order=None):
@@ -68,10 +92,11 @@ def _dictreader_groups(path, group_order=None):
 
 
 def assert_equivalent(path, group_order=None, block_chars=7):
-    default, small_blocks, rows_only, split = _readings(path, group_order, block_chars)
+    default, small_blocks, rows_only, split, cached = _readings(path, group_order, block_chars)
     assert default == rows_only
     assert small_blocks == rows_only
     assert split == rows_only
+    assert cached == rows_only
     if default[0] != "error":
         got = [(label, list(memoryview(raw).cast("d"))) for label, _, raw in default]
         assert got == _dictreader_groups(path, group_order)
