@@ -3,14 +3,13 @@
 Four subcommands: ``test`` (spread homogeneity), ``trend`` (monotone
 spread), ``anova`` (means, classic/Welch/adaptive), and ``simulate``
 (Monte Carlo size/power grids).  Dataset files are CSV with ``group``
-and ``value`` columns: the plain rows of a regular file are parsed in
-bulk, in one part or in one part per usable CPU (``_read_plain``), and
-the csv row loop reads anything else.  The parsed columns of a regular
-file of 4 MiB or more are kept in a cache keyed by the sha256 of its
-bytes (``_cached_columns``), so a later command on the same bytes loads
-them instead of parsing again.  Reports are JSON (default) or
-plain text with full-precision numbers, so piping the JSON back into a
-program loses nothing.
+and ``value`` columns, read from a file or a pipe in blocks by one loop
+(``_Reader``): plain blocks are parsed in bulk and any other by the csv
+row loop.  The parsed columns of a regular file of 4 MiB or more are
+cached by the sha256 of its bytes (``_cached_columns``), so a later
+command on the same bytes loads them instead of parsing again.  Reports
+are JSON (default) or plain text with full-precision numbers, so piping
+the JSON back into a program loses nothing.
 
 Exit codes: 0 on success, 2 for input or usage errors, when memory runs
 out or when stdout cannot be written, 3 when the data are degenerate (a
@@ -24,6 +23,7 @@ import contextlib
 import csv
 import functools
 import hashlib
+import io
 import json
 import math
 import os
@@ -32,7 +32,7 @@ import stat
 import sys
 import tempfile
 import warnings
-from typing import Any, Callable, Iterable, Sequence, TextIO
+from typing import Any, Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -82,12 +82,12 @@ _REPORT_COLUMNS = (
 
 def _read_dataset(path: str, group_order: Sequence[str] | None = None) -> GroupedSample:
     try:
-        handle = open(path, newline="", encoding="utf-8-sig")
+        handle = open(path, "rb", buffering=0)
     except OSError as exc:
         raise ValidationError(f"cannot read dataset {path!r}: {exc}") from None
     try:
         with handle:
-            labels, codes, values = _cached_columns(handle, path)
+            labels, codes, values = _cached_columns(handle.fileno(), path)
     except UnicodeDecodeError as exc:
         raise ValidationError(f"dataset {path!r} is not UTF-8 text ({exc.reason})") from None
     if not labels:
@@ -103,8 +103,8 @@ _CACHE_SUFFIX = ".v1"  # bump whenever what ``_read_columns`` returns changes
 _CACHE_ENTRIES = 4
 
 
-def _cached_columns(handle: TextIO, path: str) -> tuple[list[str], np.ndarray, np.ndarray]:
-    """``_read_columns(handle, path)``, cached for a regular file of at least ``_MIN_CACHED_BYTES``.
+def _cached_columns(fd: int, path: str) -> tuple[list[str], np.ndarray, np.ndarray]:
+    """``_read_columns``, cached for a regular file of at least ``_MIN_CACHED_BYTES``.
 
     An entry is keyed by the sha256 of the file's bytes, so it holds what
     parsing those bytes returns.  It is stored only if the file's size and
@@ -112,15 +112,15 @@ def _cached_columns(handle: TextIO, path: str) -> tuple[list[str], np.ndarray, n
     the cache, or an entry that is not well formed, is a miss: the cache
     never changes what is reported.
     """
-    fd = handle.fileno()
     before = os.fstat(fd)
-    if not stat.S_ISREG(before.st_mode) or before.st_size < _MIN_CACHED_BYTES:
-        return _read_columns(handle, path)
+    size = before.st_size if stat.S_ISREG(before.st_mode) else None
+    if size is None or size < _MIN_CACHED_BYTES:
+        return _read_columns(fd, path, size)
     version = (before.st_size, before.st_mtime_ns, before.st_ctime_ns)
     entry = None
     try:
         digest, offset = hashlib.sha256(), 0
-        while block := os.pread(fd, _BLOCK_BYTES, offset):  # leaves the handle at the start of the file
+        while block := os.pread(fd, _BLOCK_BYTES, offset):
             digest.update(block)
             offset += len(block)
         entry = os.path.join(_cache_dir(), digest.hexdigest() + _CACHE_SUFFIX)
@@ -139,7 +139,7 @@ def _cached_columns(handle: TextIO, path: str) -> tuple[list[str], np.ndarray, n
         return labels, codes, values
     except (OSError, ValueError, EOFError):
         pass
-    columns = _read_columns(handle, path)
+    columns = _read_columns(fd, path, size)
     after = os.fstat(fd)
     if entry and (after.st_size, after.st_mtime_ns, after.st_ctime_ns) == version:
         with contextlib.suppress(OSError, ValueError):
@@ -181,82 +181,36 @@ def _store_entry(entry: str, labels: list[str], codes: np.ndarray, values: np.nd
         os.unlink(stale.path)
 
 
-def _read_columns(handle: TextIO, path: str) -> tuple[list[str], np.ndarray, np.ndarray]:
-    """The labels, each row's group code and the values of an open dataset file.
+def _read_columns(fd: int, path: str, size: int | None) -> tuple[list[str], np.ndarray, np.ndarray]:
+    """The labels, each row's group code and the values of an open file of ``size`` bytes, or of a pipe (None), by ``_Reader``.
 
-    The plain lines at the start of a regular file are read in bulk by
-    ``_read_plain``; from the first block of lines that is not plain, and
-    for any other input (a pipe, or a header that is not the first line
-    of the file), the csv row loop reads on to the end: it handles quoted
-    fields and names the physical line of a bad row.
+    A regular file is cut at line feeds into at most one part per usable
+    CPU, each at least ``_MIN_PART_BYTES`` long; this process reads the
+    first and a forked worker each other one.  A worker's rows (its codes
+    remapped to the order of first appearance) are used only if this
+    process's rows end exactly where they start, else it reads them itself.
     """
-    header_reader = csv.reader(handle)
-    header = next(header_reader, [])
+    count = 1 if size is None else max(1, min(_usable_cpus(), size // _MIN_PART_BYTES))
+    ends = [math.inf] if size is None else sorted({size, *(_line_end(fd, size * i // count, size) for i in range(1, count))})
+    reader = _Reader(fd, 0, ends[0], size, path)
+    header = next(csv.reader(reader.lines(reader.block().removeprefix("\ufeff"))), [])
     for required in ("group", "value"):
         if required not in header:
             raise ValidationError(f"dataset {path!r} is missing the {required!r} column")
-    # A repeated column name means its last occurrence, as in csv.DictReader.
-    group_at = len(header) - 1 - header[::-1].index("group")
-    value_at = len(header) - 1 - header[::-1].index("value")
-    lines_read = header_reader.line_num
-    labels: dict[str, int] = {}
-    blocks = [(np.empty(0, np.uint32), np.empty(0))]
-    plain = _read_plain(handle.fileno(), len(header), group_at, value_at) if lines_read == 1 else None
-    if plain is not None:  # a plain block holds no blank line: one line per row
-        plain_labels, plain_blocks, stop = plain
-        labels = {label: code for code, label in enumerate(plain_labels)}
-        blocks += plain_blocks
-        lines_read += sum(c.size for c, _ in plain_blocks)
-        handle.seek(stop)
-    if plain is None or stop < os.fstat(handle.fileno()).st_size:
-        row_labels, row_values = _read_rows(handle, path, lines_read, group_at, value_at)
-        blocks.append((_code_labels(row_labels, dict(labels), labels), np.array(row_values, dtype=float)))
-    return list(labels), *(np.concatenate(column) for column in zip(*blocks))
-
-
-def _read_plain(
-    fd: int, width: int, group_at: int, value_at: int
-) -> tuple[list[str], list[tuple[np.ndarray, np.ndarray]], int] | None:
-    """The plain rows at the start of a regular file: labels, blocks of (codes, values), and the offset where they stop.
-
-    The data bytes after a header that ends at the first line feed are cut
-    at line feeds into at most one part per usable CPU, each at least
-    ``_MIN_PART_BYTES`` long, or into one part.  This process parses the first part and a forked
-    worker each other one (see ``_parse_part``); a worker's codes are
-    remapped here to the order of first appearance over the whole file.
-    The rows stop at the file's end or at the first block that is not
-    plain; a worker that fails or does not start (as without ``fork``)
-    stops its part at its first byte.  Any other file gives None.
-    """
-    status = os.fstat(fd)
-    if not stat.S_ISREG(status.st_mode):
-        return None
-    head = os.pread(fd, 1 << 16, 0)
-    start, stop = head.find(b"\n") + 1, status.st_size
-    if not start or b"\r" in head[: start - 1].removesuffix(b"\r"):  # a lone \r ends the csv header first
-        return None
-    count = max(1, min(_usable_cpus(), (stop - start) // _MIN_PART_BYTES))
-    ends = sorted({stop, *(_line_end(fd, start + (stop - start) * i // count, stop) for i in range(1, count))})
-    spans = list(zip([start, *ends], ends))
-    jobs = [functools.partial(_parse_part, fd, lo, hi, width, group_at, value_at) for lo, hi in spans]
-    if len(jobs) == 1:
-        parts = [jobs[0]()]
-    else:
+    spans = list(zip(ends, ends[1:]))
+    jobs = [functools.partial(_Reader(fd, lo, hi, size, path).read, header, hi) for lo, hi in spans]
+    if jobs:
         from . import _parts  # imported here: most files are read in one part
-
-        with _parts.forked(jobs[1:]) as results:
-            parts = [jobs[0](), *results]
-    labels, blocks, resume_at = parts[0]  # the first part's codes are already in file order
-    order = {label: code for code, label in enumerate(labels)}
-    for (lo, _), part in zip(spans[1:], parts[1:]):
-        if resume_at < lo:  # the part before stopped early
-            break
-        part_labels, part_blocks, resume_at = part or ([], [], lo)
-        remap = np.array([order.setdefault(label, len(order)) for label in part_labels], dtype=np.uint32)
-        for codes, _ in part_blocks:
-            codes[:] = remap[codes]
-        blocks += part_blocks
-    return list(order), blocks, resume_at
+    with _parts.forked(jobs) if jobs else contextlib.nullcontext(()) as others:
+        reader.read(header, ends[0])
+        for (lo, hi), other in zip(spans, others):
+            if other is not None and reader.at == lo:
+                remap = np.array([reader.labels.setdefault(label, len(reader.labels)) for label in other.labels], dtype=np.uint32)
+                reader.blocks += [(remap.take(codes, out=codes), values) for codes, values in other.blocks]  # remapped in place
+                reader.line, reader.at = reader.line + other.line, other.at
+            if reader.at < hi:
+                reader.read(header, hi)
+    return list(reader.labels), *(np.concatenate(column) for column in zip(*reader.blocks))
 
 
 def _line_end(fd: int, offset: int, stop: int) -> int:
@@ -272,30 +226,79 @@ def _line_end(fd: int, offset: int, stop: int) -> int:
     return stop
 
 
-def _parse_part(
-    fd: int, lo: int, hi: int, width: int, group_at: int, value_at: int
-) -> tuple[list[str], list[tuple[np.ndarray, np.ndarray]], int]:
-    """The plain blocks in bytes ``lo:hi`` as labels and (codes, values), and the offset where they stop.
+class _Reader:
+    """A dataset input read from byte ``at`` in blocks of whole lines, and the rows parsed from them.
 
-    The bytes are read in blocks of about ``_BLOCK_BYTES`` that end at a
-    line feed, each parsed by ``_parse_plain_block`` with the part's own
-    codes.  The offset is ``hi``, or the start of the first block that is
-    not plain or not UTF-8.
+    A block is ``_BLOCK_BYTES`` and then up to the next line feed, or up to
+    the end of the input.  A regular file of ``size`` bytes is read with
+    ``os.pread``, and a block that starts before ``hi`` (the end of a part)
+    ends there at the latest; a pipe is read on with ``os.read``.  ``at``
+    is where the last block read ends and ``line`` the last physical line
+    read; ``labels`` and ``blocks`` hold the rows parsed.
     """
-    codes: dict[str, int] = {}
-    labels: dict[str, int] = {}
-    blocks = []
-    while lo < hi:
-        end = _line_end(fd, min(lo + _BLOCK_BYTES, hi) - 1, hi)
+
+    def __init__(self, fd: int, at: int, hi: float, size: int | None, path: str):
+        self.fd, self.at, self.hi, self.size, self.path, self.line = fd, at, hi, size, path, 0
+        self.buffer, self.stream = bytearray(), io.StringIO()  # a pipe's bytes past the last block; a block's lines
+        self.codes: dict[str, int] = {}  # see ``_code_labels``
+        self.labels: dict[str, int] = {}
+        self.blocks = [(np.empty(0, np.uint32), np.empty(0))]
+
+    def block(self) -> str:
+        """The rest of the block that ``lines`` stopped in, else the next block; "" at the end of the input.
+
+        A block that is not UTF-8 ends at the last line break before its first
+        bad byte: the lines before that byte are parsed before UnicodeDecodeError
+        is raised.
+        """
+        rest, self.stream = self.stream.read(), io.StringIO()
+        if rest:
+            return rest
+        length = _BLOCK_BYTES if self.at else 1  # the input's first block is its first line
+        if self.size is None:
+            searched = length - 1
+            while not (end := self.buffer.find(b"\n", searched) + 1) and (chunk := os.read(self.fd, 1 << 16)):
+                searched = max(searched, len(self.buffer))  # so a long line is scanned once
+                self.buffer += chunk
+            block = self.buffer[: end or len(self.buffer)]
+        else:
+            limit = self.hi if self.at < self.hi else self.size
+            end = _line_end(self.fd, max(self.at, min(self.at + length, limit) - 1), self.size)
+            block = os.pread(self.fd, end - self.at, self.at)
         try:
-            parsed = _parse_plain_block(os.pread(fd, end - lo, lo).decode("utf-8"), width, group_at, value_at, codes, labels)
-        except UnicodeDecodeError:
-            parsed = None
-        if parsed is None:
-            break
-        blocks.append(parsed)
-        lo = end
-    return list(labels), blocks, lo
+            text = block.decode()
+        except UnicodeDecodeError as exc:
+            block = block[: max(block.rfind(b"\n", 0, exc.start), block.rfind(b"\r", 0, exc.start)) + 1]
+            if not block:
+                raise
+            text = block.decode()
+        self.at += len(block)
+        del self.buffer[: len(block)]
+        return text
+
+    def lines(self, text: str) -> Iterator[str]:
+        """The lines of ``text``, then of the next blocks while the csv reader's last row is open (its loop clears ``row_open``)."""
+        self.row_open = False
+        while text:
+            self.stream = io.StringIO(text, newline="")
+            for line in self.stream:
+                self.row_open = True
+                self.line += 1
+                yield line
+            text = self.block() if self.row_open else ""  # at the end of the input, an open row ends as in a file
+
+    def read(self, header: list[str], hi: float) -> _Reader:
+        """Parse blocks up to one that ends at ``hi`` or later: a plain one in bulk, any other alone by ``_read_rows``."""
+        self.hi = hi
+        # A repeated column name means its last occurrence, as in csv.DictReader.
+        group_at, value_at = (len(header) - 1 - header[::-1].index(name) for name in ("group", "value"))
+        while text := self.block():
+            parsed = _parse_plain_block(self, text, len(header), group_at, value_at)
+            self.blocks.append(_read_rows(self, text, group_at, value_at) if parsed is None else parsed)
+            del text  # so that this block and the next are never held at once
+            if self.at >= hi:
+                break
+        return self
 
 
 def _code_labels(cells: Sequence[str], codes: dict[str, int], labels: dict[str, int]) -> np.ndarray | None:
@@ -315,18 +318,13 @@ def _code_labels(cells: Sequence[str], codes: dict[str, int], labels: dict[str, 
     return _code_labels(cells, codes, labels)
 
 
-def _parse_plain_block(
-    text: str, width: int, group_at: int, value_at: int, codes: dict[str, int], labels: dict[str, int]
-) -> tuple[np.ndarray, np.ndarray] | None:
+def _parse_plain_block(source: _Reader, text: str, width: int, group_at: int, value_at: int) -> tuple[np.ndarray, np.ndarray] | None:
     """A block of plain CSV lines as group codes (see ``_code_labels``) and values, or None if it is not plain."""
-    if '"' in text:
-        return None
-    if "\r" in text:
+    if "\r" in text:  # a scan for a character is much faster than a replace that finds nothing
         text = text.replace("\r\n", "\n")
-        if "\r" in text:
-            return None
-    if text.endswith("\n"):
-        text = text[:-1]
+    if '"' in text or "\r" in text:
+        return None
+    text = text.removesuffix("\n")
     # Every line holds width - 1 commas and ends in a newline (but the
     # last): the separators must run (width - 1 commas, newline) over and
     # over.  This also rules out blank lines.  A field longer than the csv
@@ -347,37 +345,37 @@ def _parse_plain_block(
         return None
     if not np.isfinite(values).all():
         return None
-    block_codes = _code_labels(cells[group_at::width], codes, labels)
-    return None if block_codes is None else (block_codes, values)
+    block_codes = _code_labels(cells[group_at::width], source.codes, source.labels)
+    if block_codes is None:
+        return None
+    source.line += values.size  # a plain block holds one line per row
+    return block_codes, values
 
 
-def _read_rows(
-    lines: Iterable[str], path: str, lines_before: int, group_at: int, value_at: int
-) -> tuple[list[str], list[float]]:
-    """Parse CSV lines one row at a time; errors cite the physical line."""
-    reader = csv.reader(lines)
+def _read_rows(source: _Reader, text: str, group_at: int, value_at: int) -> tuple[np.ndarray, np.ndarray]:
+    """The rows of ``text`` (see ``_Reader.lines``) parsed one at a time, as codes and values; errors cite the physical line."""
     labels: list[str] = []
     values: list[float] = []
     try:
-        for row in reader:
+        for row in csv.reader(source.lines(text)):
+            source.row_open = False
             if not row:
                 continue  # blank line
-            line = lines_before + reader.line_num
             label = row[group_at].strip() if group_at < len(row) else ""
             raw = row[value_at].strip() if value_at < len(row) else ""
             if not label:
-                raise ValidationError(f"{path}:{line}: empty group label")
+                raise ValidationError(f"{source.path}:{source.line}: empty group label")
             try:
                 value = float(raw)
             except ValueError:
-                raise ValidationError(f"{path}:{line}: bad value {raw!r}") from None
+                raise ValidationError(f"{source.path}:{source.line}: bad value {raw!r}") from None
             if not math.isfinite(value):
-                raise ValidationError(f"{path}:{line}: non-finite value {raw!r}")
+                raise ValidationError(f"{source.path}:{source.line}: non-finite value {raw!r}")
             labels.append(label)
             values.append(value)
     except csv.Error as exc:
-        raise ValidationError(f"{path}:{lines_before + reader.line_num}: {exc}") from None
-    return labels, values
+        raise ValidationError(f"{source.path}:{source.line}: {exc}") from None
+    return _code_labels(labels, source.codes, source.labels), np.array(values, dtype=float)
 
 
 def _parse_group_order(text: str | None) -> list[str] | None:

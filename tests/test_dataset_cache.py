@@ -142,8 +142,8 @@ def test_a_file_that_changes_during_the_parse_is_not_stored(tmp_path, capsys, mo
 def _plant(path):
     """A well-formed entry for ``path`` whose values are twice the file's, in a new private cache directory."""
     entry = _entry(path)
-    with open(path, newline="", encoding="utf-8-sig") as handle:
-        labels, codes, values = cli._read_columns(handle, path)
+    with open(path, "rb") as handle:
+        labels, codes, values = cli._read_columns(handle.fileno(), path, os.fstat(handle.fileno()).st_size)
     _write_entry(entry, labels, codes, values * 2)
     with open(entry, "rb") as handle:
         return entry, handle.read()

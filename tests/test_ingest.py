@@ -1,14 +1,16 @@
-"""Dataset ingestion: the block reader and the split reader against the csv row loop.
+"""Dataset ingestion: the block loop, in one part, in parts and from a pipe, against the csv row loop.
 
-``cli._read_dataset`` parses plain blocks of a file in bulk and hands
-anything else to the csv row loop; a large plain file is parsed in parts
-by forked workers.  Whatever path a file takes, the groups must be
-byte-identical and every error must carry the same message.  Five
-readings of each file are compared: the default reader, the reader with
-tiny blocks (so block boundaries fall mid-file), the row loop alone, the
-split reader forced onto the file (so that it is cut into 2-3 parts), and
-a hit in the dataset cache.  Successful readings are also checked against
-a plain ``csv.DictReader`` loop with per-label buckets.
+``cli._read_dataset`` reads every input in blocks of lines: a plain
+block is parsed in bulk, and any other alone by the csv row loop, which
+reads on into the next blocks only while a quoted field is open.  A large
+regular file is parsed in parts by forked workers.  Whatever path a file
+takes, the groups must be byte-identical and every error must carry the
+same message.  Six readings of each file are compared: the default
+reader, the reader with tiny blocks (so block boundaries fall mid-file),
+the row loop alone, the split reader forced onto the file (so that it is
+cut into 2-3 parts), a hit in the dataset cache, and the file's bytes
+fed through a pipe.  Successful readings are also checked against a
+plain ``csv.DictReader`` loop with per-label buckets.
 """
 
 import contextlib
@@ -65,8 +67,30 @@ def _cached_outcome(path, group_order=None):
         return _outcome(path, group_order)
 
 
+def _piped_outcome(path, group_order=None):
+    """The outcome of reading the file's bytes from a pipe that a thread writes, with the file's path in messages."""
+    with open(path, "rb") as handle:
+        content = handle.read()
+    read_end, write_end = os.pipe()
+
+    def write():
+        with contextlib.suppress(BrokenPipeError), open(write_end, "wb") as out:
+            out.write(content)
+
+    writer = threading.Thread(target=write)
+    writer.start()
+    piped = f"/dev/fd/{read_end}"
+    try:
+        outcome = _outcome(piped, group_order)
+    finally:
+        os.close(read_end)  # so that a writer left with bytes nobody reads stops
+        writer.join(timeout=60)
+    assert not writer.is_alive()
+    return (*outcome[:2], outcome[2].replace(piped, path)) if outcome[0] == "error" else outcome
+
+
 def _readings(path, group_order=None, block_chars=7):
-    """(default reader, tiny blocks, row loop only, split reader, cache hit) outcomes for one file."""
+    """(default reader, tiny blocks, row loop only, split reader, cache hit, pipe) outcomes for one file."""
     default = _outcome(path, group_order)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(cli, "_BLOCK_BYTES", block_chars)
@@ -78,7 +102,10 @@ def _readings(path, group_order=None, block_chars=7):
         _force_split(mp)
         mp.setattr(cli, "_BLOCK_BYTES", block_chars)
         split = _outcome(path, group_order)
-    return default, small_blocks, rows_only, split, _cached_outcome(path, group_order)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cli, "_BLOCK_BYTES", block_chars)
+        piped = _piped_outcome(path, group_order)
+    return default, small_blocks, rows_only, split, _cached_outcome(path, group_order), piped
 
 
 def _dictreader_groups(path, group_order=None):
@@ -92,11 +119,12 @@ def _dictreader_groups(path, group_order=None):
 
 
 def assert_equivalent(path, group_order=None, block_chars=7):
-    default, small_blocks, rows_only, split, cached = _readings(path, group_order, block_chars)
+    default, small_blocks, rows_only, split, cached, piped = _readings(path, group_order, block_chars)
     assert default == rows_only
     assert small_blocks == rows_only
     assert split == rows_only
     assert cached == rows_only
+    assert piped == rows_only
     if default[0] != "error":
         got = [(label, list(memoryview(raw).cast("d"))) for label, _, raw in default]
         assert got == _dictreader_groups(path, group_order)
@@ -142,6 +170,8 @@ EDGE_FILES = {
     "empty_file": "",
     "huge_field": "group,value\n" + "a" * 200_000 + ",1\nb,2\n",
     "not_utf8": b"group,value\na,1\n\xe9,2\nb,3\n",
+    "bad_value_then_not_utf8": b"group,value\na,1\na,oops\nb,3\n\xe9,2\n",
+    "bad_value_far_before_not_utf8": b"group,value\na,1\na,oops\n" + b"".join(b"b,%d\n" % i for i in range(5000)) + b"\xe9,2\n",
 }
 
 
@@ -168,12 +198,24 @@ def test_group_order_is_applied_on_every_path(tmp_path):
         ("short_row", ":2: bad value ''"),
         ("huge_field", ":2: field larger than field limit"),
         ("not_utf8", "is not UTF-8 text"),
+        ("bad_value_then_not_utf8", ":3: bad value 'oops'"),
+        ("bad_value_far_before_not_utf8", ":3: bad value 'oops'"),
     ],
 )
 def test_errors_cite_the_physical_line(tmp_path, name, message):
     path = _write(tmp_path, f"{name}.csv", EDGE_FILES[name])
     outcome = _outcome(path)
     assert outcome[0] == "error" and message in outcome[2]
+
+
+@pytest.mark.parametrize("name", ["bad_value_then_not_utf8", "bad_value_far_before_not_utf8"])
+@pytest.mark.parametrize("block_bytes", [1, 7, 64, 1 << 12, 1 << 20])
+def test_the_first_bad_line_is_reported_whatever_the_block_size(tmp_path, monkeypatch, name, block_bytes):
+    # A bad row comes before a byte that is not UTF-8: the row's error is the one reported.
+    path = _write(tmp_path, f"{name}.csv", EDGE_FILES[name])
+    monkeypatch.setattr(cli, "_BLOCK_BYTES", block_bytes)
+    for outcome in (_outcome(path), _piped_outcome(path)):
+        assert outcome[0] == "error" and outcome[2].endswith(":3: bad value 'oops'")
 
 
 def _padded_label(i):
@@ -200,23 +242,91 @@ def test_plain_files_never_take_the_row_loop(tmp_path, monkeypatch):
     assert [(label, arr.tolist()) for label, arr in sample.groups] == _dictreader_groups(path)
 
 
-def test_only_the_rest_of_the_file_takes_the_row_loop(tmp_path, monkeypatch):
-    lines = ["group,value"] + [f"g{i % 2},{i}" for i in range(400)]
-    lines[300] = '"g0",1.5'
-    path = _write(tmp_path, "late_quote.csv", "\n".join(lines) + "\n")
-    monkeypatch.setattr(cli, "_BLOCK_BYTES", 512)
-    seen = []
-    row_loop = cli._read_rows
+def _spy_rows(monkeypatch, tmp_path):
+    """Record each call of the row loop, in this process or a worker, as (pid, first byte, end, lines before, lines).
 
-    def spy(rows, path, lines_before, *rest):
-        seen.append(lines_before)
-        return row_loop(rows, path, lines_before, *rest)
+    The bytes are those of the block handed to the row loop, and the lines
+    are counted from the start of the reader's part.  Returns a function
+    that gives the records so far.
+    """
+    log = tmp_path / "rows.log"
+    read_rows = cli._read_rows
+
+    def spy(source, text, *rest):
+        start, before = source.at - len(text.encode()), source.line
+        parsed = read_rows(source, text, *rest)
+        with open(log, "a") as out:
+            out.write(f"{os.getpid()} {start} {source.at} {before} {source.line - before}\n")
+        return parsed
 
     monkeypatch.setattr(cli, "_read_rows", spy)
+    return lambda: [tuple(map(int, line.split())) for line in log.read_text().splitlines()] if log.exists() else []
+
+
+def _block_around(content, offset, block_bytes, lo=None):
+    """The (first byte, end) of the block holding ``offset`` when a part from ``lo`` to the end is read in blocks.
+
+    By default the part is the whole file, whose first block is its header line.
+    """
+    end = content.index(b"\n") + 1 if lo is None else lo
+    while end <= offset:
+        lo, end = end, content.index(b"\n", end + block_bytes - 1) + 1
+    return lo, end
+
+
+def test_only_a_block_that_is_not_plain_takes_the_row_loop(tmp_path, monkeypatch):
+    lines = ["group,value"] + [f"g{i % 2},{i}" for i in range(400)]
+    lines[300] = '"g0",1.5'
+    content = ("\n".join(lines) + "\n").encode()
+    path = _write(tmp_path, "late_quote.csv", content)
+    monkeypatch.setattr(cli, "_BLOCK_BYTES", 512)
+    rows = _spy_rows(monkeypatch, tmp_path)
     outcome = _outcome(path)
-    assert len(seen) == 1 and 0 < seen[0] < 300
+    start, end = _block_around(content, content.index(b'"'), 512)
+    assert 0 < start and end < len(content)  # plain blocks come before and after it
+    # the row loop saw that block's lines and no others: the blocks after it were parsed in bulk
+    assert rows() == [(os.getpid(), start, end, content[:start].count(b"\n"), content[start:end].count(b"\n"))]
     monkeypatch.undo()
     assert outcome == assert_equivalent(path)
+
+
+def test_a_plain_fifo_never_takes_the_row_loop(tmp_path, monkeypatch):
+    lines = ["group,value"] + [f"{_padded_label(i)},{(i * 0.37) ** 3!r}" for i in range(5000)]
+    content = "\r\n".join(lines) + "\r\n"
+    path = _write(tmp_path, "plain.csv", content)
+    fifo = str(tmp_path / "plain.fifo")
+    os.mkfifo(fifo)
+    writer = threading.Thread(target=lambda: _write(tmp_path, "plain.fifo", content))
+    writer.start()
+    monkeypatch.setattr(cli, "_BLOCK_BYTES", 1000)
+
+    def no_row_loop(*args):
+        raise AssertionError("a plain pipe fell back to the row loop")
+
+    monkeypatch.setattr(cli, "_read_rows", no_row_loop)
+    try:
+        sample = cli._read_dataset(fifo)
+    finally:
+        writer.join(timeout=60)
+    assert not writer.is_alive() and sample.total == 5000
+    assert [(label, arr.tolist()) for label, arr in sample.groups] == _dictreader_groups(path)
+
+
+def test_a_bad_value_after_a_quoted_line_break_cites_its_physical_line(tmp_path, monkeypatch):
+    # The quoted label spans lines 101-102, so the row written as lines[350] is on physical line 352.
+    lines = ["group,value"] + [f"g{i % 2},{i}" for i in range(400)]
+    lines[100], lines[350] = '"a\nx",1', "g1,oops"
+    content = ("\n".join(lines) + "\n").encode()
+    path = _write(tmp_path, "quote_then_bad.csv", content)
+    monkeypatch.setattr(cli, "_BLOCK_BYTES", 512)
+    rows = _spy_rows(monkeypatch, tmp_path)
+    outcome = _outcome(path)
+    assert outcome[0] == "error" and outcome[2].endswith(":352: bad value 'oops'")
+    first, last = rows()[0], _block_around(content, content.index(b"oops"), 512)
+    assert first[1:3] == _block_around(content, content.index(b'"'), 512) and first[2] < last[0]  # two blocks apart
+    monkeypatch.undo()
+    assert outcome == assert_equivalent(path)
+    assert outcome == assert_equivalent(path, block_chars=300)
 
 
 # ---------------------------------------------------------------------------
@@ -224,24 +334,24 @@ def test_only_the_rest_of_the_file_takes_the_row_loop(tmp_path, monkeypatch):
 
 
 def _spy_parts(monkeypatch):
-    """Record each split read as (whether each worker gave its value, whether the plain rows reach the end)."""
+    """Record each split read as (whether each worker gave its value, how many parts this process read itself)."""
     reads = []
-    forked, read = _parts.forked, cli._read_plain
+    forked, read, parent = _parts.forked, cli._Reader.read, os.getpid()
 
     @contextlib.contextmanager
     def spy_forked(jobs):
         with forked(jobs) as results:
             values = list(results)
-            reads.append([value is not None for value in values])
+            reads.append(([value is not None for value in values], 0))
             yield iter(values)
 
-    def spy_read(fd, *rest):
-        labels, blocks, resume_at = read(fd, *rest)
-        reads[-1] = (reads[-1], resume_at == os.fstat(fd).st_size)
-        return labels, blocks, resume_at
+    def spy_read(self, *args):
+        if reads and os.getpid() == parent:
+            reads[-1] = (reads[-1][0], reads[-1][1] + 1)
+        return read(self, *args)
 
     monkeypatch.setattr(_parts, "forked", spy_forked)
-    monkeypatch.setattr(cli, "_read_plain", spy_read)
+    monkeypatch.setattr(cli._Reader, "read", spy_read)
     return reads
 
 
@@ -258,7 +368,7 @@ def test_a_label_first_seen_in_the_last_part_keeps_its_place(tmp_path, monkeypat
     reads = _spy_parts(monkeypatch)
     _force_split(monkeypatch, cpus)
     split = _outcome(path)
-    assert reads == [([True] * (cpus - 1), True)]
+    assert reads == [([True] * (cpus - 1), 1)]
     assert [label for label, _, _ in split] == ["b", "a", "c", "late"]
     monkeypatch.undo()
     assert split == assert_equivalent(path)
@@ -269,7 +379,7 @@ def test_group_order_applies_to_the_split_reader(tmp_path, monkeypatch):
     reads = _spy_parts(monkeypatch)
     _force_split(monkeypatch)
     split = _outcome(path, ["c", "a", "b"])
-    assert reads == [([True, True], True)] and [label for label, _, _ in split] == ["c", "a", "b"]
+    assert reads == [([True, True], 1)] and [label for label, _, _ in split] == ["c", "a", "b"]
     assert _outcome(path, ["a", "b"])[0] == "error"
     monkeypatch.undo()
     assert split == assert_equivalent(path, group_order=["c", "a", "b"])
@@ -277,8 +387,7 @@ def test_group_order_applies_to_the_split_reader(tmp_path, monkeypatch):
 
 def _middle_cut_target(content):
     """Where the split reader, cutting in two, starts looking for a line break."""
-    start = content.index(b"\n") + 1
-    return start + (len(content) - start) // 2
+    return len(content) // 2
 
 
 @pytest.mark.parametrize(
@@ -287,13 +396,14 @@ def _middle_cut_target(content):
     ids=["crlf-cut-at-cr", "crlf-cut-at-lf", "quoted-newline-cut-inside", "quoted-newline-cut-at-quote"],
 )
 def test_a_cut_near_a_line_break_pair_or_a_quoted_newline(tmp_path, middle, hit):
-    # Pad the first label until the cut target falls on the wanted character.
+    # Pad the last label until the cut target falls on the wanted character.
     for pad in range(64):
-        head = ["group,value", f"{'a' * (pad + 1)},1"] + [f"b,{i}" for i in range(20)]
+        head = ["group,value", "a,1"] + [f"b,{i}" for i in range(20)]
+        tail = [f"a,{i}" for i in range(20)] + [f"{'a' * (pad + 1)},1"]
         if middle == "\r\n":
-            content = ("\r\n".join(head + [f"a,{i}" for i in range(20)]) + "\r\n").encode()
+            content = ("\r\n".join(head + tail) + "\r\n").encode()
         else:
-            content = ("\n".join(head) + "\n" + middle + "\n".join(f"a,{i}" for i in range(20)) + "\n").encode()
+            content = ("\n".join(head) + "\n" + middle + "\n".join(tail) + "\n").encode()
         target = _middle_cut_target(content)
         if content[target : target + 1] == hit.encode() and (middle == "\r\n" or hit == '"' or b'"a' in content[:target]):
             break
@@ -311,14 +421,13 @@ def test_a_cut_near_a_line_break_pair_or_a_quoted_newline(tmp_path, middle, hit)
     ids=["bad-value", "not-utf8"],
 )
 def test_an_error_in_the_last_part_is_the_serial_error(tmp_path, monkeypatch, bad, message):
-    # Longer than the text reader's first chunk, so that the header is read before the bad byte.
     lines = [b"group,value"] + [f"g{i % 3},{i}".encode() for i in range(3000)]
     lines[2989] = bad
     path = _write(tmp_path, "late_error.csv", b"\n".join(lines) + b"\n")
     reads = _spy_parts(monkeypatch)
     _force_split(monkeypatch)
     split = _outcome(path)
-    assert reads == [([True, True], False)]  # the last part stops at its block that is not plain
+    assert reads == [([True, False], 2)]  # the last worker raises, and this process reads that part itself
     assert split[0] == "error" and message in split[2]
     monkeypatch.undo()
     assert split == assert_equivalent(path)
@@ -342,40 +451,52 @@ def _raise():
 def test_a_failing_worker_gives_the_serial_result(tmp_path, monkeypatch, capfd, fault):
     path = _rows_file(tmp_path, "plain.csv", ["a", "b", "c"] * 50)
     serial = _outcome(path)
-    monkeypatch.setattr(cli, "_parse_part", _in_workers(cli._parse_part, fault))
+    monkeypatch.setattr(cli._Reader, "read", _in_workers(cli._Reader.read, fault))
     reads = _spy_parts(monkeypatch)
     _force_split(monkeypatch)
     assert _outcome(path) == serial
-    assert reads == [([False, False], False)]
+    assert reads == [([False, False], 3)]
     assert capfd.readouterr() == ("", "")
 
 
-def test_a_split_read_goes_on_from_the_first_block_that_is_not_plain(tmp_path, monkeypatch):
-    # Three parts; the last holds a quoted label.  Its plain blocks before
-    # the quote are kept, and the row loop reads on from there, once.
+def test_a_split_read_sends_only_the_quoted_block_to_the_row_loop(tmp_path, monkeypatch):
+    # Three parts; the last holds a quoted label.  Its worker hands that
+    # block alone to the row loop and parses the others in bulk, and this
+    # process uses every worker's rows.
     lines = ["group,value"] + [f"g{i % 3},{i}" for i in range(3000)]
     lines[2500] = '"g1",2499'
     content = ("\n".join(lines) + "\n").encode()
     path = _write(tmp_path, "late_quote.csv", content)
-    start = content.index(b"\n") + 1
-    last_cut = content.index(b"\n", start + (len(content) - start) * 2 // 3) + 1
+    last_cut = content.index(b"\n", len(content) * 2 // 3) + 1
     one_process = _outcome(path)
     reads = _spy_parts(monkeypatch)
+    rows = _spy_rows(monkeypatch, tmp_path)
     _force_split(monkeypatch)
     monkeypatch.setattr(cli, "_BLOCK_BYTES", 1000)
-    seen = []
-    row_loop = cli._read_rows
-
-    def spy(rows, path, lines_before, *rest):
-        seen.append(lines_before)
-        return row_loop(rows, path, lines_before, *rest)
-
-    monkeypatch.setattr(cli, "_read_rows", spy)
     split = _outcome(path)
-    assert reads == [([True, True], False)]
-    # past the lines of the first two parts, and before the quote on line 2501
-    assert len(seen) == 1 and content[:last_cut].count(b"\n") < seen[0] < 2501
+    assert reads == [([True, True], 1)]
+    start, end = _block_around(content, content.index(b'"'), 1000, last_cut)
+    assert last_cut < start and end < len(content)
+    (pid, *seen), = rows()
+    assert pid != os.getpid() and seen == [start, end, content[last_cut:start].count(b"\n"), content[start:end].count(b"\n")]
     assert split == one_process
+
+
+def test_a_quoted_field_across_the_cut_is_read_by_this_process(tmp_path, monkeypatch):
+    # A quoted label of about 4 KB of line feeds lies across the middle cut.
+    # The worker starts inside the field and misparses it, so this process
+    # discards that part and reads it itself.
+    rows = [f"a,{i}" for i in range(400)]
+    content = ("group,value\n" + "\n".join(rows) + '\n"late' + "\n" * 4000 + 'label",1\n' + "\n".join(rows) + "\n").encode()
+    assert content.index(b'"') < _middle_cut_target(content) < content.rindex(b'"')
+    path = _write(tmp_path, "long_quote.csv", content)
+    reads = _spy_parts(monkeypatch)
+    _force_split(monkeypatch, cpus=2)
+    monkeypatch.setattr(cli, "_BLOCK_BYTES", 256)
+    split = _outcome(path)
+    assert reads == [([True], 2)]
+    monkeypatch.undo()
+    assert split == assert_equivalent(path)
 
 
 def _no_fork():
