@@ -2,14 +2,14 @@
 
 Four subcommands: ``test`` (spread homogeneity), ``trend`` (monotone
 spread), ``anova`` (means, classic/Welch/adaptive), and ``simulate``
-(Monte Carlo size/power grids).  Dataset files are CSV with ``group``
-and ``value`` columns, read from a file or a pipe in blocks by one loop
-(``_Reader``): plain blocks are parsed in bulk and any other by the csv
-row loop.  The parsed columns of a regular file of 4 MiB or more are
-cached by the sha256 of its bytes (``_cached_columns``), so a later
-command on the same bytes loads them instead of parsing again.  Reports
-are JSON (default) or plain text with full-precision numbers, so piping
-the JSON back into a program loses nothing.
+(Monte Carlo size/power grids).  The first three spell their flags as
+one label of ``sim.compile_test_label``'s grammar, which ``sim._compile``
+checks and compiles as it does a ``simulate`` label, and report it as
+``test``.  They read CSV with ``group`` and ``value`` columns from a
+file or a pipe, in blocks, by one loop (``_Reader``), and cache the
+parsed columns of a regular file of 4 MiB or more by its sha256
+(``_cached_columns``).  Reports are JSON (default) or plain text with
+full-precision numbers.
 
 Exit codes: 0 on success, 2 for input or usage errors, when memory runs
 out or when stdout cannot be written, 3 when the data are degenerate (a
@@ -32,17 +32,17 @@ import stat
 import sys
 import tempfile
 import warnings
-from typing import Any, Callable, Iterator, Sequence
+from typing import Any, Iterator, Sequence
 
 import numpy as np
 
 from .errors import DegenerateDataError, ValidationError, _converted
-from .means import AdaptiveConfig, adaptive_anova, anova_f, welch_anova
+from .means import adaptive_anova, anova_f, welch_anova
 from .numerics import derive_seed
 from .samples import CENTERS, MEAN, CenterKind, GroupedSample, _centered, _one_replicate, _rescaled, _scaled_back
-from .sim import Scenario, SimulationReport, _usable_cpus, power_ordering_grid, run_grid, table1_grid
-from .spread import _CORRECTED, CORRECTIONS, TestResult, _check_correction, as_correction
-from .spread import bartlett_m, box_anderson_b3, levene_test
+from .sim import _DEFAULT_CENTER, _OPTION_DEFAULTS, Scenario, SimulationReport, _compile, _Compiled, _usable_cpus
+from .sim import power_ordering_grid, run_grid, table1_grid
+from .spread import _CORRECTED, CORRECTIONS, TestResult, bartlett_m, box_anderson_b3, levene_test
 from .trend import SIDES, trend_test
 
 __all__ = ["main"]
@@ -184,7 +184,7 @@ def _store_entry(entry: str, labels: list[str], codes: np.ndarray, values: np.nd
 def _read_columns(fd: int, path: str, size: int | None) -> tuple[list[str], np.ndarray, np.ndarray]:
     """The labels, each row's group code and the values of an open file of ``size`` bytes, or of a pipe (None), by ``_Reader``.
 
-    A regular file is cut at line feeds into at most one part per usable
+    A regular file is cut at line breaks into at most one part per usable
     CPU, each at least ``_MIN_PART_BYTES`` long; this process reads the
     first and a forked worker each other one.  A worker's rows (its codes
     remapped to the order of first appearance) are used only if this
@@ -193,7 +193,10 @@ def _read_columns(fd: int, path: str, size: int | None) -> tuple[list[str], np.n
     count = 1 if size is None else max(1, min(_usable_cpus(), size // _MIN_PART_BYTES))
     ends = [math.inf] if size is None else sorted({size, *(_line_end(fd, size * i // count, size) for i in range(1, count))})
     reader = _Reader(fd, 0, ends[0], size, path)
-    header = next(csv.reader(reader.lines(reader.block().removeprefix("\ufeff"))), [])
+    try:
+        header = next(csv.reader(reader.lines(reader.block().removeprefix("\ufeff"))), [])
+    except csv.Error as exc:
+        raise ValidationError(f"{path}:{reader.line}: {exc}") from None
     for required in ("group", "value"):
         if required not in header:
             raise ValidationError(f"dataset {path!r} is missing the {required!r} column")
@@ -213,23 +216,32 @@ def _read_columns(fd: int, path: str, size: int | None) -> tuple[list[str], np.n
     return list(reader.labels), *(np.concatenate(column) for column in zip(*reader.blocks))
 
 
+def _break_end(data: bytes | bytearray, start: int) -> int:
+    """Just past the first line feed, or carriage return that no line feed follows, in ``data`` from ``start``; else 0."""
+    lf = data.find(b"\n", start)
+    # A carriage return just before a line feed is a CRLF's, and one that ends ``data`` may be.
+    cr = data.find(b"\r", start, max(start, len(data) - 1 if lf < 0 else lf - 1))
+    return cr + 1 if cr >= 0 else lf + 1
+
+
 def _line_end(fd: int, offset: int, stop: int) -> int:
-    """The offset just past the first line feed at or after ``offset``, or ``stop`` if none comes before it."""
+    """The offset just past the first line break at or after ``offset``, or ``stop`` if none comes before it."""
     while offset < stop:
-        window = os.pread(fd, min(1 << 12, stop - offset), offset)
+        length = min(1 << 12, stop - offset)
+        window = os.pread(fd, length + 1, offset)  # and the byte after, which tells whether a carriage return ends a line
         if not window:
             break
-        found = window.find(b"\n")
-        if found >= 0:
-            return offset + found + 1
-        offset += len(window)
+        end = _break_end(window, 0)
+        if 0 < end <= length:
+            return offset + end
+        offset += length
     return stop
 
 
 class _Reader:
     """A dataset input read from byte ``at`` in blocks of whole lines, and the rows parsed from them.
 
-    A block is ``_BLOCK_BYTES`` and then up to the next line feed, or up to
+    A block is ``_BLOCK_BYTES`` and then up to the next line break, or up to
     the end of the input.  A regular file of ``size`` bytes is read with
     ``os.pread``, and a block that starts before ``hi`` (the end of a part)
     ends there at the latest; a pipe is read on with ``os.read``.  ``at``
@@ -257,8 +269,8 @@ class _Reader:
         length = _BLOCK_BYTES if self.at else 1  # the input's first block is its first line
         if self.size is None:
             searched = length - 1
-            while not (end := self.buffer.find(b"\n", searched) + 1) and (chunk := os.read(self.fd, 1 << 16)):
-                searched = max(searched, len(self.buffer))  # so a long line is scanned once
+            while not (end := _break_end(self.buffer, searched)) and (chunk := os.read(self.fd, 1 << 16)):
+                searched = max(searched, len(self.buffer) - 1)  # so a long line is scanned once
                 self.buffer += chunk
             block = self.buffer[: end or len(self.buffer)]
         else:
@@ -391,12 +403,6 @@ def _parse_group_order(text: str | None) -> list[str] | None:
 # report documents
 
 
-def _center_fields(kind: CenterKind | None) -> dict[str, Any]:
-    if kind is None:
-        return {"center": None, "trim_proportion": None}
-    return {"center": kind.name, "trim_proportion": kind.trim_proportion}
-
-
 def _group_rows(sample: GroupedSample, kind: CenterKind, correction: str) -> list[dict[str, Any]]:
     """Per-group summaries: location estimate, mean analyzed deviation, variance."""
     labels = sample.labels
@@ -414,15 +420,17 @@ def _group_rows(sample: GroupedSample, kind: CenterKind, correction: str) -> lis
 
 
 def _test_result_fields(result: TestResult) -> dict[str, Any]:
+    kind = result.center
     doc: dict[str, Any] = {
         "method": result.method,
         "statistic": float(result.statistic),
         "df1": float(result.df1),
         "df2": None if result.df2 is None else float(result.df2),
         "p_value": float(result.p_value),
+        "center": None if kind is None else kind.name,
+        "trim_proportion": None if kind is None else kind.trim_proportion,
+        "correction": result.correction,
     }
-    doc.update(_center_fields(result.center))
-    doc["correction"] = result.correction
     if result.details:
         doc["details"] = {key: float(value) for key, value in result.details.items()}
     return doc
@@ -482,52 +490,30 @@ def _render_text(doc: dict[str, Any]) -> str:
 # subcommands
 
 
-def _report(
-    args: argparse.Namespace,
-    document: Callable[[GroupedSample], dict[str, Any]],
-    kind: CenterKind,
-    correction: str = "none",
-    group_order: list[str] | None = None,
-    warned: Sequence[warnings.WarningMessage] = (),
-) -> int:
-    """Read the dataset, compute the document recording warnings (after ``warned``), add the group rows, print."""
-    sample = _read_dataset(args.input, group_order)
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        doc = document(sample)
-    doc["groups"] = _group_rows(sample, kind, correction)
-    return _finish(doc, [*warned, *caught], args.format)
+# The label head that a --method stands for, with the center it fixes; any other method is its own head.
+_METHODS = {"bfl": "levene:median", "trimmed": "levene:trimmed", "classic": "anova"}
 
 
-# The center each alias of ``--method levene`` fixes.
-_FIXED_CENTERS = {"bfl": "median", "trimmed": "trimmed"}
+def _test_label(args: argparse.Namespace) -> str:
+    """The label the flags spell: the method's head, then its center and option from the flags ``args.slots`` names.
 
-
-def _center_kind(name: str, proportion: float | None) -> CenterKind:
-    """The center ``name``; ``--trim-proportion`` gives a trimmed center's proportion, and no other center takes one."""
-    if proportion is not None and name != "trimmed":
-        raise ValidationError(f"--trim-proportion applies to trimmed centers only, not to the {name} center")
-    return CenterKind(name, proportion)
-
-
-def _cmd_test(args: argparse.Namespace) -> int:
-    method = args.method
-    if method in ("bartlett", "box-anderson"):
-        if args.center is not None or args.correction is not None:
-            raise ValidationError(f"--center/--correction do not apply to --method {method}")
-        if args.trim_proportion is not None:
-            raise ValidationError(f"--trim-proportion does not apply to --method {method}")
-        statistic = bartlett_m if method == "bartlett" else box_anderson_b3
-        return _report(args, lambda sample: _test_result_fields(statistic(sample)), MEAN)
-    fixed = _FIXED_CENTERS.get(method)
-    if fixed is not None and args.center not in (None, fixed):
-        raise ValidationError(f"--method {method} fixes the center to {fixed}; use --method levene to vary it")
-    center = _center_kind(fixed or args.center or "median", args.trim_proportion)
-    correction = as_correction(args.correction)
-    _check_correction(center, correction)
-    return _report(
-        args, lambda sample: _test_result_fields(levene_test(sample, center, correction)), center, correction
-    )
+    A flag for a slot that the method lacks or fixes is refused here; every other rule is ``sim._compile``'s.
+    """
+    head, _, fixed = _METHODS.get(args.method, args.method).partition(":")
+    center, option = (getattr(args, dest) for dest in args.slots)
+    if head not in _OPTION_DEFAULTS:
+        for dest in (*args.slots, "trim_proportion"):
+            if getattr(args, dest) is not None:
+                raise ValidationError(f"--{dest.replace('_', '-')} does not apply to --method {args.method}")
+        return head
+    if fixed and center not in (None, fixed):
+        raise ValidationError(f"--method {args.method} fixes the center to {fixed}; use --method levene to vary it")
+    center = fixed or center or _DEFAULT_CENTER
+    if args.trim_proportion is not None:  # the ``=P`` of a trimmed center
+        if center != "trimmed":
+            raise ValidationError(f"--trim-proportion applies to trimmed centers only, not to the {center} center")
+        center += f"={args.trim_proportion!r}"
+    return ":".join([head, center] + ([] if option is None else [str(option)]))
 
 
 def _parse_scores(text: str | None) -> list[float] | None:
@@ -539,49 +525,26 @@ def _parse_scores(text: str | None) -> list[float] | None:
         raise ValidationError(f"bad --scores {text!r}; expected comma-separated numbers") from None
 
 
-def _cmd_trend(args: argparse.Namespace) -> int:
-    center = _center_kind(args.center or "median", args.trim_proportion)
-    scores = _parse_scores(args.scores)
-
-    def document(sample: GroupedSample) -> dict[str, Any]:
-        result = trend_test(sample, scores, center)
-        doc: dict[str, Any] = {
+def _fields(sample: GroupedSample, test: _Compiled, scores: list[float] | None) -> dict[str, Any]:
+    """The report's fields for the compiled ``test`` run on ``sample``."""
+    if test.family == "trend":
+        result = trend_test(sample, scores, test.center)
+        return {
             "method": "trend",
             "beta_hat": float(result.beta_hat),
             "std_error": float(result.std_error),
             "z_statistic": float(result.z_statistic),
-            "side": args.side,
-            "p_value": float(result.p_value(args.side)),
+            "side": test.option,
+            "p_value": float(result.p_value(test.option)),
             "p_increasing": float(result.p_increasing),
             "p_decreasing": float(result.p_decreasing),
             "p_two_sided": float(result.p_two_sided),
+            "center": result.center.name,
+            "trim_proportion": result.center.trim_proportion,
+            "scores": [float(w) for w in result.scores],
         }
-        doc.update(_center_fields(result.center))
-        doc["scores"] = [float(w) for w in result.scores]
-        return doc
-
-    return _report(args, document, center, group_order=_parse_group_order(args.group_order))
-
-
-def _cmd_anova(args: argparse.Namespace) -> int:
-    method = args.method
-    if method != "adaptive" and (args.prelim_level is not None or args.prelim_center is not None):
-        raise ValidationError("--prelim-level/--prelim-center only apply to --method adaptive")
-    if method != "adaptive" and args.trim_proportion is not None:
-        raise ValidationError(f"--trim-proportion does not apply to --method {method}")
-
-    level = 0.15 if args.prelim_level is None else args.prelim_level
-    with warnings.catch_warnings(record=True) as warned:  # a level's warning goes into the report
-        warnings.simplefilter("always")
-        if method == "adaptive":
-            config = AdaptiveConfig(level, _center_kind(args.prelim_center or "median", args.trim_proportion))
-
-    def document(sample: GroupedSample) -> dict[str, Any]:
-        if method == "classic":
-            return _test_result_fields(anova_f(sample))
-        if method == "welch":
-            return _test_result_fields(welch_anova(sample))
-        outcome = adaptive_anova(sample, config)
+    if test.family == "adaptive":
+        outcome = adaptive_anova(sample, test.option)
         return {
             "method": "adaptive",
             "branch": outcome.chosen_branch,
@@ -589,12 +552,30 @@ def _cmd_anova(args: argparse.Namespace) -> int:
             "df1": float(outcome.final.df1),
             "df2": float(outcome.final.df2),
             "p_value": float(outcome.final.p_value),
-            "preliminary_level": float(config.preliminary_level),
+            "preliminary_level": float(test.option.preliminary_level),
             "preliminary": _test_result_fields(outcome.preliminary),
             "final": _test_result_fields(outcome.final),
         }
+    if test.family == "levene":
+        return _test_result_fields(levene_test(sample, test.center, test.option))
+    statistic = {"anova": anova_f, "welch": welch_anova, "bartlett": bartlett_m, "box-anderson": box_anderson_b3}
+    return _test_result_fields(statistic[test.family](sample))
 
-    return _report(args, document, MEAN, warned=warned)
+
+def _cmd_dataset(args: argparse.Namespace) -> int:
+    """``test``, ``trend`` and ``anova``: the flags compiled to one test, run on the dataset, reported under its label.
+
+    Every flag is checked before the file is read; warnings, such as a preliminary level's, go into the report.
+    """
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        test = _compile(_test_label(args))
+        scores = _parse_scores(getattr(args, "scores", None))
+        sample = _read_dataset(args.input, _parse_group_order(getattr(args, "group_order", None)))
+        doc = {"test": test.label, **_fields(sample, test, scores)}
+    spread = test.family in ("levene", "trend")  # else the rows hold the deviations from the group means
+    doc["groups"] = _group_rows(sample, test.center if spread else MEAN, test.option if test.family == "levene" else "none")
+    return _finish(doc, caught, args.format)
 
 
 # ---------------------------------------------------------------------------
@@ -739,12 +720,15 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p: argparse.ArgumentParser) -> None:
+    def dataset_command(name: str, help: str, slots: tuple[str, str], **defaults: str) -> argparse.ArgumentParser:
+        p = sub.add_parser(name, help=help)
         p.add_argument("--input", required=True, help="CSV dataset with 'group' and 'value' columns")
         p.add_argument("--format", choices=("json", "text"), default="json", help="report format")
+        p.add_argument("--trim-proportion", type=float, default=None, help="tail fraction for trimmed centers (default 0.25)")
+        p.set_defaults(handler=_cmd_dataset, slots=slots, **defaults)
+        return p
 
-    p_test = sub.add_parser("test", help="test equality of spread across groups")
-    add_common(p_test)
+    p_test = dataset_command("test", "test equality of spread across groups", ("center", "correction"))
     p_test.add_argument(
         "--method",
         choices=("levene", "bfl", "trimmed", "bartlett", "box-anderson"),
@@ -753,25 +737,17 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     p_test.add_argument("--center", choices=CENTERS, default=None)
     p_test.add_argument("--correction", choices=CORRECTIONS, default=None)
-    p_test.add_argument("--trim-proportion", type=float, default=None, help="tail fraction for trimmed centers (default 0.25)")
-    p_test.set_defaults(handler=_cmd_test)
 
-    p_trend = sub.add_parser("trend", help="test for a monotone trend in spread")
-    add_common(p_trend)
+    p_trend = dataset_command("trend", "test for a monotone trend in spread", ("center", "side"), method="trend")
     p_trend.add_argument("--scores", default=None, help="comma-separated group scores (default 1..k)")
     p_trend.add_argument("--center", choices=CENTERS, default=None)
-    p_trend.add_argument("--trim-proportion", type=float, default=None)
     p_trend.add_argument("--side", choices=SIDES, default="two-sided")
     p_trend.add_argument("--group-order", default=None, help="comma-separated labels fixing the group order")
-    p_trend.set_defaults(handler=_cmd_trend)
 
-    p_anova = sub.add_parser("anova", help="test equality of means")
-    add_common(p_anova)
+    p_anova = dataset_command("anova", "test equality of means", ("prelim_center", "prelim_level"))
     p_anova.add_argument("--method", choices=("classic", "welch", "adaptive"), default="adaptive")
     p_anova.add_argument("--prelim-level", type=float, default=None, help="level of the preliminary spread test")
     p_anova.add_argument("--prelim-center", choices=CENTERS, default=None)
-    p_anova.add_argument("--trim-proportion", type=float, default=None)
-    p_anova.set_defaults(handler=_cmd_anova)
 
     p_sim = sub.add_parser("simulate", help="run a Monte Carlo size/power grid")
     p_sim.add_argument("--grid", required=True, help="'table1', 'power-ordering', or a scenario file path")

@@ -58,12 +58,13 @@ class CenterKind:
                 raise ValidationError(
                     f"trim proportion must lie in [0, 0.5), got {self.trim_proportion!r}"
                 )
-            object.__setattr__(self, "trim_proportion", proportion)
+            object.__setattr__(self, "trim_proportion", proportion + 0.0)  # -0.0 is 0.0, so both have one label
         else:
             object.__setattr__(self, "trim_proportion", None)
 
     def __str__(self) -> str:
-        return self.name
+        """The center as a test label spells it: ``trimmed=P`` for a trimmed center whose P is not 0.25."""
+        return self.name if self.trim_proportion in (None, 0.25) else f"{self.name}={self.trim_proportion!r}"
 
 
 MEAN = CenterKind("mean")

@@ -15,7 +15,7 @@ import math
 import os
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Sequence, Union
+from typing import Callable, NamedTuple, Sequence, Union
 
 import numpy as np
 
@@ -132,8 +132,20 @@ _PLAIN_TESTS = {
     "box-anderson": functools.partial(_chi_sq_rows, _box_anderson),
 }
 
-# The tests that take ``:CENTER[:OPTION]``, with their default option.
+# The tests that take ``:CENTER[:OPTION]``, with their default center and option.
+_DEFAULT_CENTER = "median"
 _OPTION_DEFAULTS = {"levene": "none", "trend": "increasing", "adaptive": "0.15"}
+
+
+class _Compiled(NamedTuple):
+    """A test label compiled: its canonical form, chunk runner, smallest group size and parsed parameters."""
+
+    label: str
+    runner: Callable
+    minimum: int
+    family: str
+    center: CenterKind | None = None
+    option: str | AdaptiveConfig | None = None  # the correction, the side or the adaptive configuration
 
 
 def compile_test_label(label: str) -> str:
@@ -146,42 +158,52 @@ def compile_test_label(label: str) -> str:
         trend[:CENTER[:SIDE]]             defaults: median, increasing
         adaptive[:CENTER[:LEVEL]]         defaults: median, 0.15
 
-    The canonical form always spells the defaults out, so e.g.
-    ``levene`` canonicalizes to ``levene:median:none``.
+    CENTER is ``mean``, ``median`` or ``trimmed[=P]`` (P, the proportion
+    cut from each tail, defaults to 0.25).  The canonical form spells every
+    default out but that 0.25: ``levene`` canonicalizes to
+    ``levene:median:none``, and ``trend:trimmed=0.25`` to
+    ``trend:trimmed:increasing``.
     """
-    return _compile(label)[0]
+    return _compile(label).label
 
 
-def _compile(label: str) -> tuple[str, Callable, int]:
-    """The canonical label, its chunk runner and the smallest group size the test takes."""
+def _center(token: str) -> CenterKind:
+    """The center a label's CENTER piece names: ``mean``, ``median`` or ``trimmed[=P]``."""
+    name, equals, proportion = (piece.strip() for piece in token.partition("="))
+    if equals and name != "trimmed":
+        raise ValidationError(f"only a trimmed center takes a proportion, got {token!r}")
+    return CenterKind(name, _converted(float, proportion, "trim proportion") if equals else None)
+
+
+def _compile(label: str) -> _Compiled:
+    """The test a label names, as one record: the one place a test's options are parsed and checked."""
     if not isinstance(label, str) or not label.strip():
         raise ValidationError(f"test label must be a non-empty string, got {label!r}")
     name, *args = (piece.strip() for piece in label.strip().split(":"))
     if name in _PLAIN_TESTS:
         if args:
             raise ValidationError(f"test {name!r} does not take parameters, got {label!r}")
-        return name, _PLAIN_TESTS[name], 2
+        return _Compiled(name, _PLAIN_TESTS[name], 2, name)
     if name not in _OPTION_DEFAULTS:
         raise ValidationError(f"unknown test {name!r} in label {label!r}")
     if len(args) > 2:
         raise ValidationError(f"too many parameters in test label {label!r}")
-    kind = as_center_kind(args[0] if args else "median")
+    kind = _center(args[0] if args else _DEFAULT_CENTER)
     # An empty option is an error, not the default.
     option = args[1] if len(args) > 1 else _OPTION_DEFAULTS[name]
     if name == "levene":
-        corr = as_correction(option)
-        _check_correction(kind, corr)
-        runner = functools.partial(_levene_rows, kind=kind, correction=corr)
-        return f"levene:{kind.name}:{corr}", runner, _MIN_GROUP_SIZE[corr]
-    if name == "trend":
-        side = as_side(option)
-        return f"trend:{kind.name}:{side}", functools.partial(_trend_rows, kind=kind, side=side), 2
-    try:
-        level = float(option)
-    except ValueError:
-        raise ValidationError(f"bad level in test label {label!r}") from None
-    config = AdaptiveConfig(preliminary_level=level, preliminary_center=kind)
-    return f"adaptive:{kind.name}:{level!r}", functools.partial(_adaptive_rows, config=config), 2
+        option = as_correction(option)
+        _check_correction(kind, option)
+        runner = functools.partial(_levene_rows, kind=kind, correction=option)
+    elif name == "trend":
+        option = as_side(option)
+        runner = functools.partial(_trend_rows, kind=kind, side=option)
+    else:
+        option = AdaptiveConfig(_converted(float, option, f"bad level in test label {label!r}"), kind)
+        runner = functools.partial(_adaptive_rows, config=option)
+    suffix = repr(option.preliminary_level) if name == "adaptive" else option
+    minimum = _MIN_GROUP_SIZE[option] if name == "levene" else 2
+    return _Compiled(f"{name}:{kind}:{suffix}", runner, minimum, name, kind, option)
 
 
 @dataclass(frozen=True)
@@ -204,9 +226,9 @@ class Scenario:
     nominal_level: float
     replications: int
     master_seed: int
-    # The parsed distribution, and each test's ``_compile`` triple.
+    # The parsed distribution, and each test's ``_compile`` record.
     _distribution_spec: DistributionSpec = field(init=False, repr=False, compare=False)
-    _compiled: tuple[tuple[str, Callable, int], ...] = field(init=False, repr=False, compare=False)
+    _compiled: tuple[_Compiled, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not isinstance(self.name, str) or not self.name:
@@ -235,7 +257,7 @@ class Scenario:
         if not self.tests:
             raise ValidationError(f"scenario {self.name!r} lists no tests")
         object.__setattr__(self, "_compiled", _each_converted(_compile, self.tests, f"scenario {self.name!r} tests"))
-        canonical = tuple(label for label, _, _ in self._compiled)
+        canonical = tuple(test.label for test in self._compiled)
         if len(set(canonical)) != len(canonical):
             raise ValidationError(f"scenario {self.name!r} lists duplicate tests {canonical!r}")
         object.__setattr__(self, "tests", canonical)
@@ -328,11 +350,11 @@ def _run_span(scenario: Scenario, start: int, stop: int) -> list[tuple[int, int]
             size = f"{stop - start} replicates of {sum(scenario.group_sizes)} values"
             raise ValidationError(f"scenario {scenario.name!r}: cannot allocate a chunk of {size}: {exc}") from None
         tallies = []
-        for test, runner, _ in scenario._compiled:
+        for test in scenario._compiled:
             try:
-                p_values, bad = _outcomes(chunk, *runner(chunk))
+                p_values, bad = _outcomes(chunk, *test.runner(chunk))
             except ValidationError as exc:
-                raise ValidationError(f"scenario {scenario.name!r}: test {test!r}: {exc}") from None
+                raise ValidationError(f"scenario {scenario.name!r}: test {test.label!r}: {exc}") from None
             tallies.append((int(np.count_nonzero(p_values < scenario.nominal_level)), int(bad.sum())))
     return tallies
 
@@ -376,11 +398,11 @@ def run_grid(scenarios: Sequence[Scenario], workers: int = 1) -> SimulationRepor
     if not scenarios:
         raise ValidationError("no scenarios to run")
     for scenario in scenarios:  # a configuration error comes before any replicate is drawn
-        for test, _, minimum in scenario._compiled:
+        for test in scenario._compiled:
             for i, n in enumerate(scenario.group_sizes):
-                if n < minimum:
-                    message = f"group 'g{i + 1}' has size {n}; this test needs at least {minimum}"
-                    raise ValidationError(f"scenario {scenario.name!r}: test {test!r}: {message}")
+                if n < test.minimum:
+                    message = f"group 'g{i + 1}' has size {n}; this test needs at least {test.minimum}"
+                    raise ValidationError(f"scenario {scenario.name!r}: test {test.label!r}: {message}")
     started = time.perf_counter()
     spans = [(s, lo, min(lo + _CHUNK, s.replications)) for s in scenarios for lo in range(0, s.replications, _CHUNK)]
     count = min(workers, math.ceil(sum(s.replications for s in scenarios) / _CHUNK), _usable_cpus())
@@ -463,4 +485,4 @@ def power_ordering_grid(
         (f"power-{kind.name}-{family.replace(':', '')}", family, sizes, ratios)
         for family in _POWER_FAMILIES for ratios in _SIGMA_PATTERNS for sizes in _POWER_SIZES
     ]
-    return _grid(cells, (f"levene:{kind.name}", f"trend:{kind.name}:increasing"), master_seed, replications)
+    return _grid(cells, (f"levene:{kind}", f"trend:{kind}:increasing"), master_seed, replications)

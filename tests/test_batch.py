@@ -27,13 +27,15 @@ from vartests import (
     run_grid,
     table1_grid,
     trend_test,
+    trimmed,
     welch_anova,
 )
 from vartests.samples import CENTERS
 from vartests.spread import CORRECTIONS
 from vartests.trend import SIDES
 
-# Every label the registry compiles, with two adaptive levels.
+# Every label the registry compiles, with two adaptive levels, and a
+# trimmed center of another proportion than the default 0.25.
 LABELS = (
     "anova",
     "welch",
@@ -42,6 +44,9 @@ LABELS = (
     *(f"levene:{c}:{r}" for c in CENTERS for r in CORRECTIONS if r != "hines-hines" or c == "median"),
     *(f"trend:{c}:{side}" for c in CENTERS for side in SIDES),
     *(f"adaptive:{c}:{level}" for c in CENTERS for level in ("0.15", "0.25")),
+    "levene:trimmed=0.1:none",
+    "trend:trimmed=0.1:increasing",
+    "adaptive:trimmed=0.1:0.15",
 )
 
 # How a row of the stacked blocks is made.  Besides plain data: ties
@@ -88,6 +93,9 @@ def _scalar_outcome(label, groups):
     if not all(np.isfinite(g).all() for g in groups):
         return "degenerate"
     name, *options = label.split(":")
+    if options:  # a center, as ``trimmed(P)`` where the label gives P
+        center, _, proportion = options[0].partition("=")
+        options[0] = trimmed(float(proportion)) if proportion else center
     try:
         return _LIBRARY[name](GroupedSample(tuple((f"g{i + 1}", g) for i, g in enumerate(groups))), *options)
     except DegenerateDataError:

@@ -1,15 +1,23 @@
 """Command-line interface: formats, exit codes, and reproducible output."""
 
+import contextlib
+import csv
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
-from vartests import cli, numerics, samples, spread, trend
+from test_batch import LABELS
+from vartests import PreliminaryLevelWarning, cli, numerics, samples, sim, spread, trend
 from vartests.errors import ValidationError
 from vartests.sim import compile_test_label
 
@@ -184,11 +192,11 @@ class TestFlagChecks:
             for argv, message in [
                 (["test", "--method", "bfl", "--center", "mean"], "--method bfl fixes the center to median"),
                 (["test", "--method", "trimmed", "--center", "median"], "--method trimmed fixes the center to trimmed"),
-                (["test", "--method", "bartlett", "--correction", "none"], "--center/--correction do not apply"),
+                (["test", "--method", "bartlett", "--correction", "none"], "--correction does not apply to --method bartlett"),
                 (["test", "--center", "trimmed", "--trim-proportion", "0.7"], "trim proportion must lie in [0, 0.5)"),
                 (["trend", "--scores", "1,x"], "bad --scores '1,x'"),
                 (["trend", "--group-order", " , "], "--group-order lists no labels"),
-                (["anova", "--method", "welch", "--prelim-level", "0.2"], "--prelim-level/--prelim-center only apply"),
+                (["anova", "--method", "welch", "--prelim-level", "0.2"], "--prelim-level does not apply to --method welch"),
                 (["test", "--center", "mean", "--correction", "hines-hines"], "the Hines-Hines correction applies"),
                 (["anova", "--prelim-center", "trimmed", "--trim-proportion", "0.7"], "trim proportion must lie in"),
                 # A trim proportion where no center is trimmed would be ignored.
@@ -724,3 +732,136 @@ class TestOptionRegistry:
         assert accepted("adaptive:{}") == set(samples.CENTERS)
         assert accepted("levene:median:{}") == set(spread.CORRECTIONS)
         assert accepted("trend:median:{}") == set(trend.SIDES)
+
+
+# ---------------------------------------------------------------------------
+# one test label from the flags to the simulator
+
+
+def _flags(label):
+    """A ``test``, ``trend`` or ``anova`` command line whose flags spell ``label``."""
+    name, *options = label.split(":")
+    plain = {"anova": "anova --method classic", "welch": "anova --method welch"}
+    if not options:
+        return plain.get(name, f"test --method {name}").split()
+    command, center_flag, option_flag = {
+        "levene": ("test", "--center", "--correction"),
+        "trend": ("trend", "--center", "--side"),
+        "adaptive": ("anova", "--prelim-center", "--prelim-level"),
+    }[name]
+    center, _, proportion = options[0].partition("=")
+    return [command, center_flag, center, *(["--trim-proportion", proportion] if proportion else []), option_flag, options[1]]
+
+
+_LABEL_GROUPS = ([1.5, 2.25, 4.0, 8.5, 3.0], [2.0, 2.5, 7.25, 1.0, 9.0, 4.5], [3.0, 1.0, 4.75, 1.5, 5.0, 9.5, 2.0])
+
+
+def _groups_csv(path, groups):
+    path.write_text("group,value\n" + "".join(f"g{i + 1},{v!r}\n" for i, g in enumerate(groups) for v in g))
+    return str(path)
+
+
+def _chunk_outcome(label, groups):
+    """The chunk runner's (p-value, degenerate) on a one-row chunk of ``groups``."""
+    with np.errstate(all="ignore"):  # as in the simulator
+        chunk = sim._Chunk([np.array([g], dtype=float) for g in groups])
+        p_values, bad = sim._outcomes(chunk, *sim._compile(label).runner(chunk))
+    return p_values[0], bool(bad[0])
+
+
+@pytest.mark.parametrize("label", LABELS)
+def test_the_flags_spell_each_label_and_report_the_chunk_runner_s_p_value(tmp_path, capsys, label):
+    argv = _flags(label)
+    assert cli.main([*argv, "--input", _groups_csv(tmp_path / "data.csv", _LABEL_GROUPS)]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert next(iter(doc)) == "test" and doc["test"] == label
+    p_value, degenerate = _chunk_outcome(label, _LABEL_GROUPS)
+    assert not degenerate and doc["p_value"] == p_value  # bit for bit
+    flat = [[2.0] * len(g) for g in _LABEL_GROUPS]
+    assert cli.main([*argv, "--input", _groups_csv(tmp_path / "flat.csv", flat)]) == 3
+    assert capsys.readouterr().err.startswith("error: degenerate data: ")
+    assert _chunk_outcome(label, flat)[1]
+
+
+def test_simulate_takes_every_label_a_report_names(tmp_path, capsys):
+    grid = tmp_path / "grid.txt"
+    grid.write_text(f"scenario = every-label\ngroup_sizes = 5, 6, 7\nsigma_ratios = 1, 2, 3\ntests = {', '.join(LABELS)}\n")
+    out = tmp_path / "out.csv"
+    assert cli.main(["simulate", "--grid", str(grid), "--reps", "3", "--seed", "1", "--out", str(out)]) == 0
+    with open(out, newline="") as handle:
+        assert [row["test"] for row in csv.DictReader(handle)] == list(LABELS)
+
+
+def test_a_text_report_names_its_test_first(three_group_csv, capsys):
+    argv = ["anova", "--prelim-center", "trimmed", "--trim-proportion", "0.1", "--input", three_group_csv]
+    assert cli.main([*argv, "--format", "text"]) == 0
+    assert capsys.readouterr().out.startswith("test: adaptive:trimmed=0.1:0.15\n")
+
+
+# ---------------------------------------------------------------------------
+# generated datasets and flags, in process
+
+_HUGE = "x" * 200_000  # past the csv module's field limit
+_HEADERS = ("group,value",) * 6 + (
+    "\ufeffgroup,value", "value,group", "group,value,note", "group,value,value", '"group","value"', "group,weight", "",
+    f"group,value,{_HUGE}",
+)
+_LABEL_CELLS = ("a", "b", "c", " a ", '"a"', '"b,x"', '"a\nb"', "a\x00", "é")
+_VALUE_CELLS = ("1", "-3", '"4"', "1_000", " 7 ", "-1e-200")
+_BAD_CELLS = ("", "nan", "-inf", "oops", _HUGE)
+# Values for the float flags, in range or not.
+_FLOATS = ("0.1", "0.15", "0.2", "0.25", "0", "0.5", "-0.1", "nan", "1e-300")
+_LISTS = {"scores": ("1,2", "1,2,3", "3,1,2", "1,x"), "group_order": ("a,b", "b,a", "a,b,c", " , ")}
+
+
+@st.composite
+def _dataset_bytes(draw):
+    """A dataset of 2-4 groups of 3-6 values, as bytes, which may be spoilt in one place."""
+    labels = draw(st.lists(st.sampled_from(_LABEL_CELLS), min_size=2, max_size=4, unique=True))
+    scale = draw(st.sampled_from([1.0, 1.0, 1.0, 1.0, 1e-200, 1e-200, 1e200]))  # a variance past 1e308 exits 2
+    values = st.floats(-1e6, 1e6).map(lambda x: repr(x * scale)) | st.sampled_from(_VALUE_CELLS)
+    rows = draw(st.permutations([f"{label},{draw(values)}" for label in labels for _ in range(draw(st.integers(3, 6)))]))
+    if draw(st.integers(0, 3)) == 0:
+        rows[draw(st.integers(0, len(rows) - 1))] = ",".join(draw(st.lists(st.sampled_from(_BAD_CELLS), min_size=1, max_size=3)))
+    newline = draw(st.sampled_from(["\n", "\r\n", "\r"]))
+    data = (newline.join([draw(st.sampled_from(_HEADERS)), *rows]) + draw(st.sampled_from(["", newline]))).encode()
+    if draw(st.integers(0, 3)) == 0:
+        at = draw(st.integers(0, len(data)))
+        data = data[:at] + draw(st.sampled_from([b"\xe9", b"\xff\xfe", b"\x00", b'"', b"\r"])) + data[at:]
+    return data
+
+
+@st.composite
+def _command_line(draw):
+    """A dataset command with some of its flags, each drawn from the choices its parser takes from the registry."""
+    commands = next(a for a in cli._build_parser()._actions if a.dest == "command").choices
+    command = draw(st.sampled_from(["test", "trend", "anova"]))
+    argv = [command]
+    for action in commands[command]._actions:
+        if not action.option_strings or action.dest in ("help", "input") or draw(st.integers(0, 3)):
+            continue
+        choices = action.choices or _LISTS.get(action.dest) or _FLOATS
+        argv += [action.option_strings[0], draw(st.sampled_from(list(choices)))]
+    return argv
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=_dataset_bytes(), argv=_command_line())
+@example(data=f"group,value,{_HUGE}\na,1,2\nb,3,4\n".encode(), argv=["anova"])
+def test_generated_inputs_exit_0_2_or_3_with_one_error_line(data, argv):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "data.csv")
+        with open(path, "wb") as handle:
+            handle.write(data)
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.main([*argv, "--input", path])
+    assert code in (0, 2, 3), err.getvalue()
+    if code:
+        assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1, err.getvalue()
+    else:
+        text = out.getvalue()
+        label = json.loads(text)["test"] if text.startswith("{") else text.splitlines()[0].removeprefix("test: ")
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", PreliminaryLevelWarning)  # the report holds it already
+            assert compile_test_label(label) == label

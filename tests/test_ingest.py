@@ -16,6 +16,7 @@ plain ``csv.DictReader`` loop with per-label buckets.
 import contextlib
 import csv
 import hashlib
+import itertools
 import os
 import subprocess
 import sys
@@ -169,6 +170,7 @@ EDGE_FILES = {
     "header_only": "group,value\n",
     "empty_file": "",
     "huge_field": "group,value\n" + "a" * 200_000 + ",1\nb,2\n",
+    "huge_header_field": "group,value," + "x" * 200_000 + "\na,1\nb,2\n",
     "not_utf8": b"group,value\na,1\n\xe9,2\nb,3\n",
     "bad_value_then_not_utf8": b"group,value\na,1\na,oops\nb,3\n\xe9,2\n",
     "bad_value_far_before_not_utf8": b"group,value\na,1\na,oops\n" + b"".join(b"b,%d\n" % i for i in range(5000)) + b"\xe9,2\n",
@@ -197,6 +199,7 @@ def test_group_order_is_applied_on_every_path(tmp_path):
         ("empty_label", ":3: empty group label"),
         ("short_row", ":2: bad value ''"),
         ("huge_field", ":2: field larger than field limit"),
+        ("huge_header_field", ":1: field larger than field limit"),
         ("not_utf8", "is not UTF-8 text"),
         ("bad_value_then_not_utf8", ":3: bad value 'oops'"),
         ("bad_value_far_before_not_utf8", ":3: bad value 'oops'"),
@@ -327,6 +330,37 @@ def test_a_bad_value_after_a_quoted_line_break_cites_its_physical_line(tmp_path,
     monkeypatch.undo()
     assert outcome == assert_equivalent(path)
     assert outcome == assert_equivalent(path, block_chars=300)
+
+
+def _first_break_end(data, start):
+    """``cli._break_end``, one byte at a time."""
+    for i in range(start, len(data)):
+        if data[i : i + 1] == b"\n" or (data[i : i + 1] == b"\r" and data[i + 1 : i + 2] not in (b"\n", b"")):
+            return i + 1
+    return 0  # a carriage return that ends the data may yet be a CRLF's
+
+
+def test_a_line_break_is_a_line_feed_or_a_lone_carriage_return():
+    for n in range(7):
+        for data in map(bytes, itertools.product(b"\r\nx", repeat=n)):
+            for start in range(n + 1):
+                assert cli._break_end(data, start) == _first_break_end(data, start), (data, start)
+
+
+@pytest.mark.parametrize("source", ["file", "pipe"])
+def test_lines_that_end_in_a_lone_carriage_return_are_read_in_blocks(tmp_path, monkeypatch, source):
+    lines = ["group,value"] + [f"g{i % 3},{(i * 0.37) ** 3!r}" for i in range(2000)]
+    plain = _write(tmp_path, "lf.csv", "\n".join(lines) + "\n")
+    content = ("\r".join(lines) + "\r").encode()
+    path = _write(tmp_path, "cr.csv", content)
+    monkeypatch.setattr(cli, "_BLOCK_BYTES", 512)
+    rows = _spy_rows(monkeypatch, tmp_path)
+    outcome = _outcome(path) if source == "file" else _piped_outcome(path)
+    # every block has a carriage return, so each goes to the row loop: one block and at most one line more each
+    longest = max(map(len, content.split(b"\r"))) + 1
+    assert len(rows()) >= len(content) // (512 + longest) and all(end - start <= 512 + longest for _, start, end, _, _ in rows())
+    monkeypatch.undo()
+    assert outcome == _outcome(plain)
 
 
 # ---------------------------------------------------------------------------

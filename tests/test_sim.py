@@ -16,6 +16,7 @@ from vartests import (
     derive_seed,
     power_ordering_grid,
     run_grid,
+    samples,
     table1_grid,
 )
 
@@ -54,6 +55,16 @@ class TestLabels:
         assert compile_test_label("adaptive") == "adaptive:median:0.15"
         assert compile_test_label("adaptive:mean:0.25") == "adaptive:mean:0.25"
 
+    def test_a_trimmed_center_may_carry_its_proportion(self):
+        assert compile_test_label("levene:trimmed=0.1") == "levene:trimmed=0.1:none"
+        assert compile_test_label(" trend : trimmed = 0.1 : two-sided ") == "trend:trimmed=0.1:two-sided"
+        assert compile_test_label("adaptive:trimmed=1e-1:0.2") == "adaptive:trimmed=0.1:0.2"
+        assert compile_test_label("levene:trimmed=-0.0:obrien") == "levene:trimmed=0.0:obrien"
+        # 0.25 is the default, so every label written before the proportion existed keeps its form
+        assert compile_test_label("levene:trimmed=0.25") == compile_test_label("levene:trimmed") == "levene:trimmed:none"
+        test = sim._compile("trend:trimmed=0.1")
+        assert (test.family, test.center, test.option) == ("trend", samples.trimmed(0.1), "increasing")
+
     def test_rejects_bad_labels(self):
         for bad in (
             "anova:mean",
@@ -68,6 +79,13 @@ class TestLabels:
             "trend:median:",
             "adaptive:median:",
             "levene::none",
+            "levene:trimmed=",
+            "levene:trimmed=0.5",
+            "levene:trimmed=-0.1",
+            "levene:trimmed=nan",
+            "levene:trimmed=x",
+            "levene:median=0.1",
+            "trend:mean=0.25",
         ):
             with pytest.raises(ValidationError):
                 compile_test_label(bad)
@@ -419,6 +437,14 @@ class TestGrids:
         a = power_ordering_grid("mean", master_seed=7, replications=50)
         b = power_ordering_grid("trimmed", master_seed=7, replications=50)
         assert [s.master_seed for s in a] == [s.master_seed for s in b]
+
+    def test_power_grid_keeps_a_trimmed_center_s_proportion(self):
+        scenarios = power_ordering_grid(samples.trimmed(0.1), master_seed=7, replications=50)
+        assert {test.center.trim_proportion for s in scenarios for test in s._compiled} == {0.1}
+        assert all(s.tests == ("levene:trimmed=0.1:none", "trend:trimmed=0.1:increasing") for s in scenarios)
+        default = power_ordering_grid(samples.trimmed(), master_seed=7, replications=50)
+        assert [s.name for s in default] == [s.name for s in scenarios]
+        assert all(s.tests == ("levene:trimmed:none", "trend:trimmed:increasing") for s in default)
 
     def test_power_study_runs(self):
         report = run_grid(power_ordering_grid("median", master_seed=11, replications=30))
