@@ -497,7 +497,8 @@ _METHODS = {"bfl": "levene:median", "trimmed": "levene:trimmed", "classic": "ano
 def _test_label(args: argparse.Namespace) -> str:
     """The label the flags spell: the method's head, then its center and option from the flags ``args.slots`` names.
 
-    A flag for a slot that the method lacks or fixes is refused here; every other rule is ``sim._compile``'s.
+    A flag for a slot that the method lacks or fixes is refused here; every other rule is
+    ``CenterKind``'s or ``sim._compile``'s.
     """
     head, _, fixed = _METHODS.get(args.method, args.method).partition(":")
     center, option = (getattr(args, dest) for dest in args.slots)
@@ -508,12 +509,8 @@ def _test_label(args: argparse.Namespace) -> str:
         return head
     if fixed and center not in (None, fixed):
         raise ValidationError(f"--method {args.method} fixes the center to {fixed}; use --method levene to vary it")
-    center = fixed or center or _DEFAULT_CENTER
-    if args.trim_proportion is not None:  # the ``=P`` of a trimmed center
-        if center != "trimmed":
-            raise ValidationError(f"--trim-proportion applies to trimmed centers only, not to the {center} center")
-        center += f"={args.trim_proportion!r}"
-    return ":".join([head, center] + ([] if option is None else [str(option)]))
+    center = CenterKind(fixed or center or _DEFAULT_CENTER, args.trim_proportion)
+    return ":".join([head, str(center)] + ([] if option is None else [str(option)]))
 
 
 def _parse_scores(text: str | None) -> list[float] | None:
@@ -599,6 +596,8 @@ def _parse_scenario_file(path: str, default_reps: int, grid_seed: int) -> tuple[
             raw_lines = handle.readlines()
     except OSError as exc:
         raise ValidationError(f"cannot read scenario file {path!r}: {exc}") from None
+    except UnicodeDecodeError as exc:
+        raise ValidationError(f"scenario file {path!r} is not UTF-8 text ({exc.reason})") from None
     blocks: list[dict[str, str]] = []
     current: dict[str, str] | None = None
     for lineno, raw in enumerate(raw_lines, start=1):
@@ -693,16 +692,20 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     grid_seed = secrets.randbits(63) if args.seed is None else args.seed
     if not 0 <= grid_seed < 2**64:
         raise ValidationError(f"--seed must lie in [0, 2**64), got {grid_seed!r}")
-    if args.grid == "table1":
-        scenarios = table1_grid(grid_seed, args.reps)
-    elif args.grid == "power-ordering":
-        scenarios = tuple(
-            scenario
-            for center in CENTERS
-            for scenario in power_ordering_grid(center, grid_seed, args.reps)
-        )
-    else:
-        scenarios = _parse_scenario_file(args.grid, args.reps, grid_seed)
+    with warnings.catch_warnings(record=True) as caught:  # such as a preliminary level's, printed once each
+        warnings.simplefilter("always")
+        if args.grid == "table1":
+            scenarios = table1_grid(grid_seed, args.reps)
+        elif args.grid == "power-ordering":
+            scenarios = tuple(
+                scenario
+                for center in CENTERS
+                for scenario in power_ordering_grid(center, grid_seed, args.reps)
+            )
+        else:
+            scenarios = _parse_scenario_file(args.grid, args.reps, grid_seed)
+    for message in dict.fromkeys(str(item.message) for item in caught):
+        print(f"warning: {message}", file=sys.stderr)
     report = run_grid(scenarios, workers=args.workers)
     write_report_csv(report, args.out, grid_seed)
     summary = f"wrote {len(report.cells)} cells ({len(scenarios)} scenarios) to {args.out} "

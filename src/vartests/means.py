@@ -40,16 +40,18 @@ class AdaptiveConfig:
 
     The defaults -- a median-centered Levene test at the 15% level, no
     correction -- are the combination with the best size/power record.
-    Levels outside [0.15, 0.25] are allowed but draw a warning; in
+    Levels outside [0.15, 0.25] are allowed but draw a
+    ``PreliminaryLevelWarning`` that names the caller's line; in
     particular ``preliminary_level=0`` turns the procedure into the
-    plain classic ANOVA.
+    plain classic ANOVA.  The level is stored as a float, -0.0 as 0.0;
+    the center is a ``CenterKind`` or its label spelling (``trimmed=0.1``).
     """
 
     preliminary_level: float = 0.15
     preliminary_center: CenterKind = MEDIAN
 
     def __post_init__(self) -> None:
-        level = _converted(float, self.preliminary_level, "preliminary level")
+        level = _converted(float, self.preliminary_level, "preliminary level") + 0.0  # -0.0 is 0.0: one label
         if not 0.0 <= level < 1.0:
             raise ValidationError(f"preliminary level must lie in [0, 1), got {level!r}")
         object.__setattr__(self, "preliminary_level", level)
@@ -60,7 +62,7 @@ class AdaptiveConfig:
                 f"preliminary level {level} is outside [{low}, {high}], the range "
                 "with empirical support for the adaptive procedure",
                 PreliminaryLevelWarning,
-                stacklevel=2,
+                stacklevel=3,  # past the dataclass's __init__, to the line that made the config
             )
 
 

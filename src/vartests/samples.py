@@ -40,8 +40,9 @@ class CenterKind:
     """How a group's center is estimated: 'mean', 'median', or 'trimmed'.
 
     ``trim_proportion`` is the fraction cut from each tail before
-    averaging and only applies to the trimmed kind (default 0.25, i.e.
-    the mean of the middle half).
+    averaging (default 0.25, i.e. the mean of the middle half); only the
+    trimmed kind takes one.  ``str()`` spells the center as a test label
+    does, and ``as_center_kind`` reads that spelling back.
     """
 
     name: str
@@ -55,12 +56,10 @@ class CenterKind:
         if self.name == "trimmed":
             proportion = 0.25 if self.trim_proportion is None else _converted(float, self.trim_proportion, "trim proportion")
             if not 0.0 <= proportion < 0.5:
-                raise ValidationError(
-                    f"trim proportion must lie in [0, 0.5), got {self.trim_proportion!r}"
-                )
+                raise ValidationError(f"trim proportion must lie in [0, 0.5), got {proportion!r}")
             object.__setattr__(self, "trim_proportion", proportion + 0.0)  # -0.0 is 0.0, so both have one label
-        else:
-            object.__setattr__(self, "trim_proportion", None)
+        elif self.trim_proportion is not None:
+            raise ValidationError(f"the {self.name} center takes no trim proportion; only a trimmed center does")
 
     def __str__(self) -> str:
         """The center as a test label spells it: ``trimmed=P`` for a trimmed center whose P is not 0.25."""
@@ -77,11 +76,12 @@ def trimmed(proportion: float = 0.25) -> CenterKind:
 
 
 def as_center_kind(kind: Union[CenterKind, str]) -> CenterKind:
-    """Coerce a ``CenterKind`` or its name into a ``CenterKind``."""
+    """Coerce a ``CenterKind`` or its label spelling ``NAME[=P]``, which ``str(kind)`` writes, into a ``CenterKind``."""
     if isinstance(kind, CenterKind):
         return kind
     if isinstance(kind, str):
-        return CenterKind(kind)
+        name, equals, proportion = (piece.strip() for piece in kind.partition("="))
+        return CenterKind(name, proportion if equals else None)
     raise ValidationError(f"expected a CenterKind or center name, got {kind!r}")
 
 
@@ -292,6 +292,12 @@ def _hines_hines(groups: Sequence[np.ndarray], labels: Sequence[str], faults: li
     return corrected
 
 
+def _check_correction(kind: CenterKind, correction: str) -> None:
+    """The rule on pairing a center with a correction: Hines-Hines repairs median centers only."""
+    if correction == "hines-hines" and kind.name != "median":
+        raise ValidationError(f"the Hines-Hines correction applies to median centers only, not to the {kind} center")
+
+
 def _obrien(groups: Sequence[np.ndarray], labels: Sequence[str], faults: list) -> list[np.ndarray]:
     """The kernel of ``obrien_scale``: deviations rescaled by 1 / sqrt(1 - 1/n)."""
     return [z / math.sqrt(1.0 - 1.0 / z.shape[-1]) for z in groups]
@@ -309,10 +315,7 @@ def hines_hines_correct(dev: DeviationSet) -> DeviationSet:
     downstream tests use N - k pseudo-observations in total.
     """
     _require_group_size(dev, 2, "the Hines-Hines correction", DeviationSet)
-    if dev.center_kind.name != "median":
-        raise ValidationError(
-            f"the Hines-Hines correction applies to median centers only, got {dev.center_kind.name!r}"
-        )
+    _check_correction(dev.center_kind, "hines-hines")
     if dev.df_adjustment != 0:
         raise ValidationError("deviation set is already corrected (df_adjustment != 0)")
     for label, z in dev.groups:

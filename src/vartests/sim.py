@@ -21,9 +21,9 @@ import numpy as np
 
 from .errors import DegenerateDataError, ValidationError, _converted, _each_converted
 from .means import AdaptiveConfig, _welch
-from .numerics import CHI_SQUARED, STUDENT_T, DistributionSpec, _draw_rows, _stream_generators, chi_sq_sf, derive_seed, f_sf
-from .samples import CenterKind, _abs_deviations, _rescaled, as_center_kind
-from .spread import _MIN_GROUP_SIZE, _bartlett, _box_anderson, _check_correction, _levene_f, _one_way_f, as_correction
+from .numerics import _SHAPE_FAMILIES, DistributionSpec, _draw_rows, _stream_generators, chi_sq_sf, derive_seed, f_sf
+from .samples import CenterKind, _abs_deviations, _check_correction, _rescaled, as_center_kind
+from .spread import _MIN_GROUP_SIZE, _bartlett, _box_anderson, _levene_f, _one_way_f, as_correction
 from .trend import ScoreSet, _side_p_values, _trend_slope, as_side
 
 __all__ = [
@@ -45,7 +45,7 @@ def _base_distribution(token: str) -> DistributionSpec:
         raise ValidationError(f"distribution must be a non-empty string, got {token!r}")
     head, _, tail = token.partition(":")
     if not tail:
-        return DistributionSpec(head, shape=_DEFAULT_DF if head in (STUDENT_T, CHI_SQUARED) else None)
+        return DistributionSpec(head, shape=_DEFAULT_DF if head in _SHAPE_FAMILIES else None)
     try:
         df = float(tail)
     except ValueError:
@@ -159,24 +159,18 @@ def compile_test_label(label: str) -> str:
         adaptive[:CENTER[:LEVEL]]         defaults: median, 0.15
 
     CENTER is ``mean``, ``median`` or ``trimmed[=P]`` (P, the proportion
-    cut from each tail, defaults to 0.25).  The canonical form spells every
-    default out but that 0.25: ``levene`` canonicalizes to
-    ``levene:median:none``, and ``trend:trimmed=0.25`` to
-    ``trend:trimmed:increasing``.
+    cut from each tail, defaults to 0.25): a center's spelling, which
+    ``as_center_kind`` reads and ``CenterKind`` checks.  The canonical form
+    spells every default out but that 0.25: ``levene`` canonicalizes to
+    ``levene:median:none``, ``trend:trimmed=0.25`` to
+    ``trend:trimmed:increasing``, and ``adaptive:median:-0.0`` to
+    ``adaptive:median:0.0``.
     """
     return _compile(label).label
 
 
-def _center(token: str) -> CenterKind:
-    """The center a label's CENTER piece names: ``mean``, ``median`` or ``trimmed[=P]``."""
-    name, equals, proportion = (piece.strip() for piece in token.partition("="))
-    if equals and name != "trimmed":
-        raise ValidationError(f"only a trimmed center takes a proportion, got {token!r}")
-    return CenterKind(name, _converted(float, proportion, "trim proportion") if equals else None)
-
-
 def _compile(label: str) -> _Compiled:
-    """The test a label names, as one record: the one place a test's options are parsed and checked."""
+    """The test a label names, as one record; each option is parsed and checked by the type that carries it."""
     if not isinstance(label, str) or not label.strip():
         raise ValidationError(f"test label must be a non-empty string, got {label!r}")
     name, *args = (piece.strip() for piece in label.strip().split(":"))
@@ -188,7 +182,7 @@ def _compile(label: str) -> _Compiled:
         raise ValidationError(f"unknown test {name!r} in label {label!r}")
     if len(args) > 2:
         raise ValidationError(f"too many parameters in test label {label!r}")
-    kind = _center(args[0] if args else _DEFAULT_CENTER)
+    kind = as_center_kind(args[0] if args else _DEFAULT_CENTER)
     # An empty option is an error, not the default.
     option = args[1] if len(args) > 1 else _OPTION_DEFAULTS[name]
     if name == "levene":
@@ -231,8 +225,8 @@ class Scenario:
     _compiled: tuple[_Compiled, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if not isinstance(self.name, str) or not self.name:
-            raise ValidationError(f"scenario name must be a non-empty string, got {self.name!r}")
+        if not isinstance(self.name, str) or not self.name or "\0" in self.name:  # Python 3.10's csv writes no NUL
+            raise ValidationError(f"scenario name must be a non-empty string without NUL, got {self.name!r}")
         object.__setattr__(self, "_distribution_spec", _base_distribution(self.distribution))
         sizes = _each_converted(int, self.group_sizes, f"scenario {self.name!r} group sizes")
         if any(not isinstance(v, str) and v != n for v, n in zip(self.group_sizes, sizes)):  # int() truncates

@@ -17,8 +17,8 @@ import numpy as np
 from .errors import DegenerateDataError, KurtosisError, ValidationError
 from .numerics import chi_sq_sf, f_sf
 from .samples import CenterKind, GroupedSample, as_center_kind
-from .samples import _centered, _flag, _group_moments, _hines_hines, _magnitude, _minus, _nonzero_variances, _obrien
-from .samples import _one_replicate, _require_group_size, _rescaled, _square, _sum_sq_is_zero
+from .samples import _centered, _check_correction, _flag, _group_moments, _hines_hines, _magnitude, _minus, _nonzero_variances
+from .samples import _obrien, _one_replicate, _require_group_size, _rescaled, _square, _sum_sq_is_zero
 
 __all__ = [
     "TestResult", "CORRECTIONS", "as_correction", "levene_test", "bartlett_m", "kurtosis_estimate",
@@ -66,12 +66,6 @@ def as_correction(correction: Union[str, None]) -> str:
     raise ValidationError(
         f"unknown correction {correction!r}; expected one of {', '.join(CORRECTIONS)}"
     )
-
-
-def _check_correction(kind: CenterKind, correction: str) -> None:
-    """The Levene test's rule on combining a center with a correction."""
-    if correction == "hines-hines" and kind.name != "median":
-        raise ValidationError("the Hines-Hines correction applies to median centers only")
 
 
 def _one_way_f(groups: Sequence[np.ndarray], labels: Sequence[str], faults: list) -> tuple[object, float, float]:

@@ -202,12 +202,12 @@ class TestFlagChecks:
                 # A trim proportion where no center is trimmed would be ignored.
                 (["test", "--method", "bartlett", "--trim-proportion", "0.1"], "--trim-proportion does not apply"),
                 (["test", "--method", "box-anderson", "--trim-proportion", "0.1"], "--trim-proportion does not apply"),
-                (["test", "--trim-proportion", "0.1"], "--trim-proportion applies to trimmed centers only"),
-                (["test", "--center", "mean", "--trim-proportion", "0.1"], "--trim-proportion applies to trimmed"),
-                (["test", "--method", "bfl", "--trim-proportion", "0.1"], "--trim-proportion applies to trimmed"),
-                (["trend", "--center", "median", "--trim-proportion", "0.1"], "--trim-proportion applies to trimmed"),
-                (["anova", "--trim-proportion", "0.1"], "--trim-proportion applies to trimmed centers only"),
-                (["anova", "--prelim-center", "mean", "--trim-proportion", "0.1"], "--trim-proportion applies to"),
+                (["test", "--trim-proportion", "0.1"], "the median center takes no trim proportion"),
+                (["test", "--center", "mean", "--trim-proportion", "0.1"], "the mean center takes no trim proportion"),
+                (["test", "--method", "bfl", "--trim-proportion", "0.1"], "the median center takes no trim proportion"),
+                (["trend", "--center", "median", "--trim-proportion", "0.1"], "the median center takes no trim proportion"),
+                (["anova", "--trim-proportion", "0.1"], "the median center takes no trim proportion"),
+                (["anova", "--prelim-center", "mean", "--trim-proportion", "0.1"], "the mean center takes no trim proportion"),
                 (["anova", "--method", "welch", "--trim-proportion", "0.1"], "--trim-proportion does not apply"),
                 (["anova", "--method", "classic", "--trim-proportion", "0.1"], "--trim-proportion does not apply"),
             ]
@@ -441,6 +441,23 @@ class TestSimulateCommand:
         proc = run_cli("simulate", "--grid", str(bad), "--seed", "1", "--out", str(out))
         assert proc.returncode == 2
         assert "bogus" in proc.stderr
+
+    def test_a_scenario_file_that_is_not_utf8_exits_2(self, tmp_path, capsys):
+        grid = tmp_path / "g.txt"
+        grid.write_bytes(b"scenario = a\xe9\ngroup_sizes = 5,5\nsigma_ratios = 1,1\ntests = levene\nreplications = 20\n")
+        assert cli.main(["simulate", "--grid", str(grid), "--seed", "1", "--out", str(tmp_path / "o.csv")]) == 2
+        assert capsys.readouterr() == ("", f"error: scenario file {str(grid)!r} is not UTF-8 text (invalid continuation byte)\n")
+
+    def test_a_preliminary_level_warning_is_one_line_on_stderr(self, tmp_path, capsys):
+        grid = tmp_path / "g.txt"
+        block = "group_sizes = 5, 5\nsigma_ratios = 1, 1\ntests = adaptive:median:0.5\nreplications = 20\n"
+        grid.write_text(f"scenario = a\n{block}\nscenario = b\n{block}")
+        assert cli.main(["simulate", "--grid", str(grid), "--seed", "1", "--out", str(tmp_path / "o.csv")]) == 0
+        out, err = capsys.readouterr()
+        assert out.startswith("wrote 2 cells (2 scenarios) to ")
+        assert err == (
+            "warning: preliminary level 0.5 is outside [0.15, 0.25], the range with empirical support for the adaptive procedure\n"
+        )
 
     def test_missing_grid_file(self, tmp_path):
         proc = run_cli("simulate", "--grid", str(tmp_path / "none.txt"), "--seed", "1",
@@ -865,3 +882,99 @@ def test_generated_inputs_exit_0_2_or_3_with_one_error_line(data, argv):
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", PreliminaryLevelWarning)  # the report holds it already
             assert compile_test_label(label) == label
+
+
+# ---------------------------------------------------------------------------
+# generated scenario files, in process
+
+_JUNK = ("0", "-1", "nan", "inf", "1e-300", "1e308", "word", "")
+# Each key's good values, then values that may be refused.  Every count here is small: a run
+# of at most 5 groups of 8 values and 64 replicates is quick, and --workers 1 forks nothing.
+_SCENARIO_VALUES = {
+    "distribution": (
+        ("normal", "exponential", "student-t", "student-t:3", "chi-squared:3", "student-t:1e-300"),
+        ("chi-squared:nan", "normal:3", "cauchy", "student-t:x", *_JUNK),
+    ),
+    "group_sizes": (("2", "3", "5", "8"), _JUNK),
+    "sigma_ratios": (("1", "2", "0.5", "1e-300", "1e300"), _JUNK),
+    "mean_shifts": (("0", "1", "-2.5", "1e308"), _JUNK),
+    "tests": (
+        (*LABELS, "levene:trimmed=0.3", "trend:trimmed=-0.0:decreasing", "adaptive:trimmed=5e-324:0.2",
+         "adaptive:median:-0.0", "adaptive:median:0.0", "adaptive:mean:0.5"),
+        ("levene:median=0.1", "levene:trimmed=0.5", "levene:mean:hines-hines", "trend:median:sideways", "tukey", *_JUNK),
+    ),
+    "nominal_level": (("0.05", "0.1", "0.5"), _JUNK),
+    "replications": (("1", "2", "16", "64"), _JUNK),
+    "master_seed": (("0", "7", "18446744073709551615"), ("18446744073709551616", *_JUNK)),
+}
+_PER_GROUP_KEYS = {"group_sizes", "sigma_ratios", "mean_shifts"}
+_FAULTS = (None, None, None, "name", "opening", "groups", "length", "missing", "twice", "value", "stray", "byte")
+
+
+@st.composite
+def _scenario_file(draw):
+    """A scenario file of 1-3 blocks with comments and blank lines, as bytes, with at most one fault."""
+    fault = draw(st.sampled_from(_FAULTS))
+    blocks = []
+    for index in range(draw(st.integers(1, 3))):
+        k = draw(st.integers(2, 5))
+        lengths = {"group_sizes": k, "sigma_ratios": k, "mean_shifts": k, "tests": draw(st.integers(1, 4))}
+        block = [["scenario", f"s{index}"]]
+        for key, (good, _) in _SCENARIO_VALUES.items():
+            if key in ("group_sizes", "sigma_ratios", "tests") or draw(st.booleans()):
+                size = lengths.get(key, 1)  # tests are distinct as written, though two may spell one test
+                block.append([key, *draw(st.lists(st.sampled_from(good), min_size=size, max_size=size, unique=key == "tests"))])
+        blocks.append(block)
+    block = draw(st.sampled_from(blocks))
+    line = draw(st.sampled_from(block[1:]))
+    if fault == "name":
+        block[0][1] = draw(st.sampled_from(["s0", "a b", "#1", "x=y"]))  # s0 may be another block's name
+    elif fault == "opening":
+        del blocks[0][0]
+    elif fault == "groups":
+        block[1:] = [entry[:2] if entry[0] in _PER_GROUP_KEYS else entry for entry in block[1:]]
+    elif fault == "length":
+        line[1:] = line[1:] + line[1:2] if draw(st.booleans()) else line[1:-1]
+    elif fault == "missing":
+        block.remove(line)
+    elif fault == "twice":
+        block.insert(draw(st.integers(1, len(block))), line)
+    elif fault == "value":
+        line[draw(st.integers(1, len(line) - 1))] = draw(st.sampled_from(_SCENARIO_VALUES[line[0]][1]))
+    lines = [f"{key} = {', '.join(values)}" for key, *values in (entry for block in blocks for entry in block)]
+    strays = ["", "# a comment", "   ", "# = 5"] + (["no equals sign", "tests =", "= 5", "bogus = 1"] if fault == "stray" else [])
+    for _ in range(draw(st.integers(0, 2)) + (fault == "stray")):
+        lines.insert(draw(st.integers(0, len(lines))), draw(st.sampled_from(strays)))
+    newline = draw(st.sampled_from(["\n", "\r\n", "\r"]))
+    data = (newline.join(lines) + newline).encode()
+    if fault == "byte":
+        at = draw(st.integers(0, len(data)))
+        data = data[:at] + draw(st.sampled_from([b"\x00", b"\xe9", b"=", b","])) + data[at:]
+    return data
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=_scenario_file())
+@example(data=b"scenario = a\xe9\ngroup_sizes = 5,5\nsigma_ratios = 1,1\ntests = levene\nreplications = 20\n")
+@example(data=b"scenario = a\ngroup_sizes = 5,5\nsigma_ratios = 1,1\ntests = adaptive:median:0.0, adaptive:median:-0.0\n")
+def test_generated_scenario_files_exit_0_2_or_3_with_one_error_line(data):
+    with tempfile.TemporaryDirectory() as tmp:
+        path, out = os.path.join(tmp, "grid.txt"), os.path.join(tmp, "out.csv")
+        with open(path, "wb") as handle:
+            handle.write(data)
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            code = cli.main(["simulate", "--grid", path, "--reps", "16", "--seed", "1", "--workers", "1", "--out", out])
+        err = stderr.getvalue().splitlines()
+        assert code in (0, 2, 3), stderr.getvalue()
+        assert all(line.startswith("warning: ") for line in err if not line.startswith("error: ")), err
+        if code:
+            assert [line for line in err if line.startswith("error: ")] == err[-1:], err
+            return
+        assert not [line for line in err if line.startswith("error: ")], err
+        with open(out, newline="") as handle:
+            tests = [row["test"] for row in csv.DictReader(handle)]
+    assert tests
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", PreliminaryLevelWarning)  # printed as a warning line already
+        assert [compile_test_label(label) for label in tests] == tests

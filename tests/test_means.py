@@ -189,6 +189,16 @@ class TestAdaptive:
             AdaptiveConfig(preliminary_level=0.25)
             AdaptiveConfig(preliminary_level=0.2)
 
+    def test_a_level_warning_names_the_line_that_made_the_config(self):
+        with pytest.warns(PreliminaryLevelWarning) as caught:
+            AdaptiveConfig(0.5)
+        assert [item.filename for item in caught] == [__file__]
+
+    def test_a_level_of_minus_zero_is_zero(self):
+        with pytest.warns(PreliminaryLevelWarning, match=r"^preliminary level 0\.0 is outside"):
+            config = AdaptiveConfig(-0.0)
+        assert math.copysign(1.0, config.preliminary_level) == 1.0
+
     def test_level_validation(self):
         with pytest.raises(ValidationError):
             AdaptiveConfig(preliminary_level=1.0)

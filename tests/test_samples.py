@@ -1,11 +1,15 @@
 """Grouped samples, centers, deviations, and the small-sample corrections."""
 
 import math
+import pickle
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from vartests import (
+    AdaptiveConfig,
     CenterKind,
     DegenerateDataError,
     DeviationSet,
@@ -15,9 +19,12 @@ from vartests import (
     center,
     deviations,
     expected_mean_deviation,
+    adaptive_anova,
     hines_hines_correct,
+    levene_test,
     obrien_scale,
     samples,
+    trend_test,
     trimmed,
 )
 
@@ -62,8 +69,48 @@ class TestCenterKind:
                 make(proportion)
             assert str(caught.value) == "trim proportion: " + _refusal(float, proportion)
 
-    def test_trim_proportion_ignored_for_untrimmed(self):
-        assert CenterKind("mean", 0.3) == CenterKind("mean")
+    @pytest.mark.parametrize("name, proportion", [("median", 0.1), ("mean", 0.3), ("median", 0.25), ("mean", "x")])
+    def test_a_trim_proportion_on_a_center_that_is_not_trimmed_is_refused(self, name, proportion):
+        message = f"the {name} center takes no trim proportion; only a trimmed center does"
+        with pytest.raises(ValidationError) as caught:
+            CenterKind(name, proportion)
+        assert str(caught.value) == message
+        with pytest.raises(ValidationError) as caught:
+            as_center_kind(f"{name}={proportion}")
+        assert str(caught.value) == message
+
+    def test_the_label_spelling_reads_back(self):
+        assert as_center_kind("trimmed=0.1") == trimmed(0.1) and str(trimmed(0.1)) == "trimmed=0.1"
+        assert as_center_kind(" trimmed = 0.1 ") == trimmed(0.1)
+        assert as_center_kind("trimmed=0.25") == as_center_kind("trimmed") == trimmed()
+        assert str(trimmed()) == "trimmed" and str(trimmed(-0.0)) == "trimmed=0.0"
+        with pytest.raises(ValidationError, match=r"^trim proportion: could not convert string to float: ''$"):
+            as_center_kind("trimmed=")
+        with pytest.raises(ValidationError, match=r"^trim proportion must lie in \[0, 0\.5\), got 0\.7$"):
+            as_center_kind("trimmed=0.7")
+
+    def test_every_center_argument_takes_the_label_spelling(self):
+        rng = np.random.default_rng(7)
+        sample = make_sample(*(rng.normal(0.0, sigma, size=11) for sigma in (1.0, 2.0, 3.0)))
+        for run in (
+            lambda kind: levene_test(sample, kind),
+            lambda kind: trend_test(sample, None, kind),
+            lambda kind: adaptive_anova(sample, AdaptiveConfig(0.15, kind)),
+        ):
+            assert pickle.dumps(run("trimmed=0.1")) == pickle.dumps(run(trimmed(0.1)))  # the same bits
+
+    @settings(max_examples=200)
+    @given(
+        kind=st.sampled_from([CenterKind("mean"), CenterKind("median")])
+        | st.floats(0.0, 0.5, exclude_max=True, allow_subnormal=True).map(trimmed)
+    )
+    @example(kind=trimmed(0.25))
+    @example(kind=trimmed(-0.0))
+    @example(kind=trimmed(5e-324))
+    @example(kind=trimmed(2.2250738585072e-308))
+    @example(kind=trimmed(math.nextafter(0.5, 0.0)))
+    def test_every_center_reads_back_from_its_spelling(self, kind):
+        assert as_center_kind(str(kind)) == kind
 
 
 class TestCenter:
@@ -229,6 +276,13 @@ class TestHinesHines:
         assert sorted(fixed.values[1].tolist()) == [2.0, 2.0]
         assert fixed.df_adjustment == 2
         assert fixed.sizes == (2, 2)
+
+    @pytest.mark.parametrize("kind", ["mean", "trimmed", "trimmed=0.1"])
+    def test_a_center_that_is_not_the_median_is_refused(self, kind):
+        dev = deviations(make_sample([1, 2, 4], [2, 4, 6]), kind)
+        with pytest.raises(ValidationError) as caught:
+            hines_hines_correct(dev)
+        assert str(caught.value) == f"the Hines-Hines correction applies to median centers only, not to the {kind} center"
 
     def test_a_fold_that_overflows_is_too_large(self):
         dev = deviations(make_sample([1, 2, 3, 5], [-1.7e308, 1.7e308, -1.7e308, 1.7e308]), "median")

@@ -94,6 +94,14 @@ class TestLabels:
         with pytest.warns(PreliminaryLevelWarning):
             compile_test_label("adaptive:median:0.5")
 
+    def test_a_level_of_minus_zero_is_spelled_and_quoted_as_zero(self):
+        with pytest.warns(PreliminaryLevelWarning, match=r"^preliminary level 0\.0 is outside"):
+            assert compile_test_label("adaptive:median:-0.0") == "adaptive:median:0.0"
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", PreliminaryLevelWarning)
+            with pytest.raises(ValidationError, match="lists duplicate tests"):
+                null_scenario(tests=("adaptive:median:0.0", "adaptive:median:-0.0"))
+
 
 class TestScenarioValidation:
     def test_canonicalizes_tests(self):
