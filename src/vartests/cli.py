@@ -444,13 +444,27 @@ def _finish(doc: dict[str, Any], caught: list[warnings.WarningMessage], fmt: str
 def _print_out(text: str, what: str) -> int:
     """Print ``text`` to stdout and flush it: 0, or 2 after one error line if stdout cannot take it (a closed pipe, a full disk)."""
     try:
-        print(text)
-        sys.stdout.flush()
-    except OSError as exc:  # then what is still buffered, flushed at exit, goes nowhere instead of raising again
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        print(f"error: cannot write {what}: {exc}", file=sys.stderr)
+        _printed(text, sys.stdout)
+    except OSError as exc:
+        _print_err(f"error: cannot write {what}: {exc}")
         return 2
     return 0
+
+
+def _print_err(line: str) -> None:
+    """Print one line to stderr, or drop it if stderr cannot take it: no exit code depends on stderr."""
+    with contextlib.suppress(OSError):
+        _printed(line, sys.stderr)
+
+
+def _printed(text: str, stream, end: str = "\n") -> None:
+    """Print ``text`` to ``stream`` and flush it, or point the stream's descriptor at the null device and raise."""
+    try:
+        print(text, file=stream, end=end)
+        stream.flush()
+    except OSError:  # then what is still buffered, flushed at close or exit, goes nowhere instead of raising again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), stream.fileno())
+        raise
 
 
 def _scalar_text(value: Any) -> str:
@@ -658,34 +672,36 @@ def _format_ratio(value: float) -> str:
     return short if float(short) == value else repr(value)
 
 
-def write_report_csv(report: SimulationReport, path: str, grid_seed: int) -> None:
-    """Write one CSV row per (scenario, test) cell; numbers keep full precision."""
-    try:
-        handle = open(path, "w", newline="", encoding="utf-8")
-    except OSError as exc:
-        raise ValidationError(f"cannot write report {path!r}: {exc}") from None
-    with handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(_REPORT_COLUMNS)
-        for cell in report.cells:
-            scenario = cell.scenario
-            writer.writerow(
-                (
-                    str(grid_seed),
-                    scenario.name,
-                    scenario.distribution,
-                    ":".join(str(n) for n in scenario.group_sizes),
-                    ":".join(_format_ratio(r) for r in scenario.sigma_ratios),
-                    ":".join(_format_ratio(m) for m in scenario.mean_shifts),
-                    repr(scenario.nominal_level),
-                    str(scenario.replications),
-                    str(scenario.master_seed),
-                    cell.test,
-                    repr(cell.rejection_rate),
-                    repr(cell.mc_standard_error),
-                    str(cell.error_count),
-                )
+def write_report_csv(report: SimulationReport, handle: io.TextIOWrapper, grid_seed: int) -> None:
+    """Write one CSV row per (scenario, test) cell in place of what ``handle``'s file holds; numbers keep full precision."""
+    rows = io.StringIO()
+    writer = csv.writer(rows, lineterminator="\n")
+    writer.writerow(_REPORT_COLUMNS)
+    for cell in report.cells:
+        scenario = cell.scenario
+        writer.writerow(
+            (
+                str(grid_seed),
+                scenario.name,
+                scenario.distribution,
+                ":".join(str(n) for n in scenario.group_sizes),
+                ":".join(_format_ratio(r) for r in scenario.sigma_ratios),
+                ":".join(_format_ratio(m) for m in scenario.mean_shifts),
+                repr(scenario.nominal_level),
+                str(scenario.replications),
+                str(scenario.master_seed),
+                cell.test,
+                repr(cell.rejection_rate),
+                repr(cell.mc_standard_error),
+                str(cell.error_count),
             )
+        )
+    try:
+        if stat.S_ISREG(os.fstat(handle.fileno()).st_mode):  # a pipe or a device has nothing to truncate
+            handle.truncate(0)
+        _printed(rows.getvalue(), handle, end="")
+    except OSError as exc:
+        raise ValidationError(f"cannot write report {handle.name!r}: {exc}") from None
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
@@ -705,9 +721,14 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         else:
             scenarios = _parse_scenario_file(args.grid, args.reps, grid_seed)
     for message in dict.fromkeys(str(item.message) for item in caught):
-        print(f"warning: {message}", file=sys.stderr)
-    report = run_grid(scenarios, workers=args.workers)
-    write_report_csv(report, args.out, grid_seed)
+        _print_err(f"warning: {message}")
+    try:  # before any replicate is drawn, and to append: a file keeps its bytes until the report replaces them
+        handle = open(args.out, "a", newline="", encoding="utf-8")
+    except OSError as exc:
+        raise ValidationError(f"cannot write report {args.out!r}: {exc}") from None
+    with handle:
+        report = run_grid(scenarios, workers=args.workers)
+        write_report_csv(report, handle, grid_seed)
     summary = f"wrote {len(report.cells)} cells ({len(scenarios)} scenarios) to {args.out} "
     return _print_out(summary + f"[grid seed {grid_seed}, {report.elapsed:.1f}s]", "the summary")
 
@@ -768,16 +789,16 @@ def main(argv: Sequence[str] | None = None) -> int:
     try:
         return args.handler(args)
     except DegenerateDataError as exc:
-        print(f"error: degenerate data: {exc}", file=sys.stderr)
+        _print_err(f"error: degenerate data: {exc}")
         return 3
     except ValidationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        _print_err(f"error: {exc}")
         return 2
     except ArithmeticError as exc:  # a tail probability that does not converge
-        print(f"error: {exc}", file=sys.stderr)
+        _print_err(f"error: {exc}")
         return 3
-    except MemoryError as exc:  # e.g. a grid whose replicates are too many to list
-        print("error: out of memory" + (f": {exc}" if str(exc) else ""), file=sys.stderr)
+    except MemoryError as exc:  # numpy cannot allocate an array
+        _print_err("error: out of memory" + (f": {exc}" if str(exc) else ""))
         return 2
 
 

@@ -14,7 +14,7 @@ import functools
 import math
 import operator
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from typing import Iterable, Sequence, Union
 
 import numpy as np
@@ -114,7 +114,7 @@ def _freeze_groups(
     return tuple(frozen.items())
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GroupedSample:
     """A one-way layout: an ordered collection of labeled groups.
 
@@ -126,6 +126,19 @@ class GroupedSample:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "groups", _freeze_groups(self.groups, type(self).__name__))
+
+    def __eq__(self, other: object) -> bool:
+        """Equal type, labels and values group by group, and equal other fields (a ``DeviationSet``'s centers, ...)."""
+        if type(other) is not type(self):
+            return NotImplemented
+        rest = [f.name for f in fields(self) if f.name != "groups"]
+        return (
+            self.labels == other.labels
+            and all(map(np.array_equal, self.values, other.values))
+            and all(getattr(self, name) == getattr(other, name) for name in rest)
+        )
+
+    __hash__ = None  # unhashable, as its numpy arrays are
 
     @classmethod
     def from_columns(
@@ -184,7 +197,7 @@ class GroupedSample:
         return sum(self.sizes)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DeviationSet(GroupedSample):
     """Absolute deviations from group centers: a grouped sample of deviations.
 

@@ -11,6 +11,7 @@ the rejection counts.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import os
 import time
@@ -262,9 +263,9 @@ class Scenario:
             )
         object.__setattr__(self, "nominal_level", level)
         if not isinstance(self.replications, int) or isinstance(self.replications, bool) or self.replications < 1:
-            raise ValidationError(
-                f"scenario {self.name!r} replications must be a positive integer, got {self.replications!r}"
-            )
+            raise ValidationError(f"scenario {self.name!r} replications must be a positive integer, got {self.replications!r}")
+        if self.replications > 2**53:  # a rate is a float: a tally past 2**53 would not be exact
+            raise ValidationError(f"scenario {self.name!r} replications must be at most 2**53, got {self.replications!r}")
         if not isinstance(self.master_seed, int) or isinstance(self.master_seed, bool) or not 0 <= self.master_seed < 2**64:
             raise ValidationError(
                 f"scenario {self.name!r} master seed must be an integer in [0, 2**64), got {self.master_seed!r}"
@@ -355,20 +356,22 @@ def _run_span(scenario: Scenario, start: int, stop: int) -> list[tuple[int, int]
 
 def _usable_cpus() -> int:
     """The CPUs this process may run on: its affinity mask where the platform has one, else the CPU count."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 
 
-def _run_spans(spans: Sequence[tuple[Scenario, int, int]]) -> list:
-    """Each span's ``_run_span`` tallies in turn, up to the error of the first span that raises one the CLI reports."""
-    outcomes: list = []
-    for span in spans:
+def _run_share(scenarios: Sequence[Scenario], first: int, step: int) -> tuple[list[np.ndarray], tuple[int, Exception] | None]:
+    """Sum the tallies of grid spans ``first``, ``first + step``, ... into one ``(tests, 2)`` array per scenario.
+
+    Also gives ``(span index, error)`` for the first span to raise an error the CLI reports, where it stops, else None.
+    """
+    sums = [np.zeros((len(s.tests), 2), dtype=np.int64) for s in scenarios]
+    spans = ((total, s, lo) for total, s in zip(sums, scenarios) for lo in range(0, s.replications, _CHUNK))
+    for index, (total, scenario, lo) in zip(itertools.count(first, step), itertools.islice(spans, first, None, step)):
         try:
-            outcomes.append(_run_span(*span))
+            total += _run_span(scenario, lo, min(lo + _CHUNK, scenario.replications))
         except (ArithmeticError, DegenerateDataError, ValidationError) as exc:
-            return outcomes + [exc]
-    return outcomes
+            return sums, (index, exc)
+    return sums, None
 
 
 def run_grid(scenarios: Sequence[Scenario], workers: int = 1) -> SimulationReport:
@@ -376,8 +379,9 @@ def run_grid(scenarios: Sequence[Scenario], workers: int = 1) -> SimulationRepor
 
     The 512-replicate spans, in scenario-then-chunk order, are dealt to
     ``min(workers, ceil(total replicates / 512), usable CPUs)`` forked
-    workers: worker r runs spans r, r + count, ...  A lone worker's spans,
-    and those of a worker that dies or does not start, run here.
+    workers: worker r sums spans r, r + count, ... per cell (``_run_share``).
+    A lone worker's share, and that of a worker that dies or does not start,
+    runs here.  The error of the earliest span is raised, as at one worker.
     """
     if not isinstance(workers, int) or isinstance(workers, bool) or workers < 1:
         raise ValidationError(f"workers must be a positive integer, got {workers!r}")
@@ -398,27 +402,21 @@ def run_grid(scenarios: Sequence[Scenario], workers: int = 1) -> SimulationRepor
                     message = f"group 'g{i + 1}' has size {n}; this test needs at least {test.minimum}"
                     raise ValidationError(f"scenario {scenario.name!r}: test {test.label!r}: {message}")
     started = time.perf_counter()
-    spans = [(s, lo, min(lo + _CHUNK, s.replications)) for s in scenarios for lo in range(0, s.replications, _CHUNK)]
     count = min(workers, math.ceil(sum(s.replications for s in scenarios) / _CHUNK), _usable_cpus())
-    shares, received = [spans[r::count] for r in range(count)], [None]
+    shares, received = [functools.partial(_run_share, scenarios, r, count) for r in range(count)], [None]
     if count > 1:
         from . import _parts  # imported here: most runs fork nothing
-        with _parts.forked(functools.partial(_run_spans, share) for share in shares) as results:
+        with _parts.forked(shares) as results:
             received = list(results)
-    outcomes: list = [None] * len(spans)
-    for r, (share, got) in enumerate(zip(shares, received)):
-        got = _run_spans(share) if got is None else got
-        outcomes[r : r + count * len(got) : count] = got
-    outcomes_in_order = iter(outcomes)
-    cells: list[CellResult] = []
-    for scenario in scenarios:
-        partials = [next(outcomes_in_order) for _ in range(0, scenario.replications, _CHUNK)]
-        for part in partials:  # a worker stops at its first error, so a span it skipped comes after one
-            if isinstance(part, Exception):
-                raise part
-        for slot, test in enumerate(scenario.tests):
-            rejections, errors = (sum(part[slot][i] for part in partials) for i in range(2))
-            cells.append(CellResult(scenario=scenario, test=test, rejections=rejections, error_count=errors))
+    outcomes = [share() if got is None else got for share, got in zip(shares, received)]
+    failed = [error for _, error in outcomes if error is not None]
+    if failed:  # no two errors share a span index, so ``min`` compares only those
+        raise min(failed)[1]
+    totals = map(sum, zip(*(sums for sums, _ in outcomes)))  # each scenario's sums, added over the workers
+    cells = [
+        CellResult(scenario=scenario, test=test, rejections=rejections, error_count=errors)
+        for scenario, total in zip(scenarios, totals) for test, (rejections, errors) in zip(scenario.tests, total.tolist())
+    ]
     return SimulationReport(cells=tuple(cells), elapsed=time.perf_counter() - started)
 
 

@@ -2,6 +2,7 @@
 
 import contextlib
 import csv
+import errno
 import io
 import json
 import os
@@ -26,6 +27,19 @@ CLI = [sys.executable, "-m", "vartests"]
 
 def run_cli(*args, **kwargs):
     return subprocess.run(CLI + list(args), capture_output=True, text=True, **kwargs)
+
+
+class _FullStream(io.TextIOBase):
+    """A text stream that fails every write, as a full device does; its descriptor is that of a scratch file."""
+
+    def __init__(self, fd):
+        self._fd = fd
+
+    def fileno(self):
+        return self._fd
+
+    def write(self, text):
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
 
 
 @pytest.fixture()
@@ -492,6 +506,60 @@ class TestSimulateCommand:
         assert int(recorded) >= 0
         assert str(recorded) in proc.stdout
 
+    @pytest.mark.parametrize("where", ["missing-directory", "directory"])
+    def test_an_out_that_cannot_be_opened_exits_2_before_the_grid_runs(self, where, tmp_path, monkeypatch, capsys):
+        def never(*args, **kwargs):
+            raise AssertionError("the grid ran")
+
+        monkeypatch.setattr(cli, "run_grid", never)
+        out = str(tmp_path / "none" / "o.csv") if where == "missing-directory" else str(tmp_path)
+        assert cli.main(["simulate", "--grid", "table1", "--reps", "2000", "--seed", "1", "--out", out]) == 2
+        out_text, err = capsys.readouterr()
+        assert out_text == "" and err.startswith(f"error: cannot write report {out!r}: [Errno ") and err.count("\n") == 1
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full on this platform")
+    def test_an_out_on_a_full_device_exits_2_with_one_line(self, capsys):
+        assert cli.main(["simulate", "--grid", "table1", "--reps", "4", "--seed", "1", "--out", "/dev/full"]) == 2
+        assert capsys.readouterr() == ("", "error: cannot write report '/dev/full': [Errno 28] No space left on device\n")
+
+    def test_an_existing_out_keeps_its_bytes_until_the_run_succeeds(self, tmp_path, monkeypatch, capsys):
+        argv = ["simulate", "--grid", "table1", "--reps", "4", "--seed", "1"]
+        assert cli.main([*argv, "--out", str(tmp_path / "fresh.csv")]) == 0
+        out = tmp_path / "o.csv"
+        earlier = b"an earlier report, longer than this one\n" * 100
+        out.write_bytes(earlier)
+
+        def failing(scenario, start, stop):
+            raise ValidationError(f"scenario {scenario.name!r} fails")
+
+        with monkeypatch.context() as mp:
+            mp.setattr(sim, "_run_span", failing)
+            assert cli.main([*argv, "--out", str(out)]) == 2
+        assert out.read_bytes() == earlier
+        assert cli.main([*argv, "--out", str(out)]) == 0
+        assert out.read_bytes() == (tmp_path / "fresh.csv").read_bytes()  # in place of the earlier bytes, not after them
+
+    @pytest.mark.parametrize("source", ["--reps", "scenario file"])
+    def test_a_replication_count_past_2_53_exits_2(self, source, tmp_path, monkeypatch, capsys):
+        ran = []
+        monkeypatch.setattr(cli, "run_grid", lambda scenarios, workers: ran.append(scenarios) or sim.SimulationReport((), 0.0))
+        grid = tmp_path / "g.txt"
+
+        def simulate(reps):
+            if source == "--reps":
+                argv = ["--grid", "table1", "--reps", str(reps)]
+            else:
+                grid.write_text(f"scenario = s1\ngroup_sizes = 5, 5\nsigma_ratios = 1, 1\ntests = anova\nreplications = {reps}\n")
+                argv = ["--grid", str(grid)]
+            return cli.main(["simulate", *argv, "--seed", "1", "--out", str(tmp_path / "o.csv")])
+
+        assert simulate(2**53) == 0
+        assert {scenario.replications for scenario in ran.pop()} == {2**53}
+        capsys.readouterr()
+        assert simulate(2**53 + 1) == 2 and not ran
+        where = "scenario 'table1-n10-10-10-s1-1-1'" if source == "--reps" else f"{grid}: scenario 's1'"
+        assert capsys.readouterr().err == f"error: {where} replications must be at most 2**53, got 9007199254740993\n"
+
 
 class TestSimulateFaults:
     """A scenario's bad draws are tallied; its configuration errors name it."""
@@ -670,6 +738,28 @@ class TestExitContract:
             proc = subprocess.run([*CLI, *argv], stdout=full, stderr=subprocess.PIPE, text=True)
         assert proc.returncode == 2
         assert proc.stderr == f"error: cannot write the {what}: [Errno 28] No space left on device\n"
+
+    @pytest.mark.parametrize("case, code", [("missing-input", 2), ("constant-groups", 3), ("stdout-too", 2)])
+    def test_a_stderr_that_cannot_be_written_keeps_the_exit_code(self, case, code, toy_csv, tmp_path, monkeypatch):
+        flat = tmp_path / "flat.csv"
+        flat.write_text("group,value\na,1\na,1\nb,2\nb,2\n")
+        path = {"missing-input": str(tmp_path / "missing.csv"), "constant-groups": str(flat), "stdout-too": toy_csv}[case]
+        names = ("stderr", "stdout") if case == "stdout-too" else ("stderr",)
+        with contextlib.ExitStack() as stack:
+            scratch = {name: stack.enter_context(open(tmp_path / name, "w")) for name in names}
+            for name, file in scratch.items():
+                monkeypatch.setattr(sys, name, _FullStream(file.fileno()))
+            assert cli.main(["test", "--input", path]) == code
+            for file in scratch.values():  # so that what is still buffered goes nowhere at exit
+                assert os.path.samestat(os.fstat(file.fileno()), os.stat(os.devnull))
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full on this platform")
+    @pytest.mark.parametrize("stdout", ["open", "full"])
+    def test_stderr_on_a_full_device_keeps_exit_2(self, toy_csv, tmp_path, stdout):
+        path = toy_csv if stdout == "full" else str(tmp_path / "missing.csv")
+        with open("/dev/full", "w") as full:
+            proc = subprocess.run([*CLI, "test", "--input", path], stdout=full if stdout == "full" else subprocess.DEVNULL, stderr=full)
+        assert proc.returncode == 2
 
     def test_a_degenerate_message_names_five_groups_and_the_count(self, tmp_path):
         path = self._many_groups(tmp_path / "flat.csv", lambda i: (i, i))

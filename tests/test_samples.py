@@ -224,6 +224,28 @@ class TestGroupedSample:
         with pytest.raises(ValidationError, match=r"deviations\(\)"):
             DeviationSet.from_columns(["a", "a", "b", "b"], [1.0, 2.0, 3.0, 4.0])
 
+    def test_equality_is_by_value(self):
+        a, b = make_sample([1, 2, 4], [3, 5]), make_sample([1, 2, 4], [3, 5])
+        assert a is not b and a == b and not a != b
+        assert a != make_sample([1, 2, 4], [3, 6])
+        assert a != make_sample([1, 2], [4, 3, 5])  # the same values, cut elsewhere
+        assert a != GroupedSample((("g1", [1.0, 2.0, 4.0]), ("other", [3.0, 5.0])))
+        assert a != a.groups and a != 1
+        with pytest.raises(TypeError, match="unhashable"):
+            hash(a)
+
+    def test_a_deviation_set_also_compares_its_center_and_corrections(self):
+        # Symmetric groups: mean and median centers give the same deviations.
+        sample = make_sample([1, 2, 3], [2, 4, 6])
+        median = deviations(sample, "median")
+        assert median == deviations(make_sample([1, 2, 3], [2, 4, 6]), "median")
+        mean = deviations(sample, "mean")
+        assert GroupedSample(median.groups) == GroupedSample(mean.groups) and median != mean
+        assert median != hines_hines_correct(median) and median != obrien_scale(median)
+        assert median != GroupedSample(median.groups) and GroupedSample(median.groups) != median
+        with pytest.raises(TypeError, match="unhashable"):
+            hash(median)
+
 
 class TestDeviations:
     def test_median_deviations(self):

@@ -2,6 +2,7 @@
 
 import math
 import os
+import tracemalloc
 import warnings
 
 import pytest
@@ -131,6 +132,13 @@ class TestScenarioValidation:
             null_scenario(distribution="cauchy")
         with pytest.raises(ValidationError):
             null_scenario(master_seed=-1)
+
+    def test_a_replication_count_is_at_most_2_53(self):
+        # A rate is a float: past 2**53 a tally has no exact rate.
+        assert null_scenario(replications=2**53).replications == 2**53
+        with pytest.raises(ValidationError) as caught:
+            null_scenario(replications=2**53 + 1)
+        assert str(caught.value) == "scenario 'null' replications must be at most 2**53, got 9007199254740993"
 
     def test_distribution_tokens(self):
         null_scenario(distribution="student-t:3")
@@ -308,6 +316,19 @@ class TestDeterminism:
         assert len(forks) == 2
         assert outputs[0] == outputs[1]
 
+    def test_memory_does_not_grow_with_the_replicates(self, monkeypatch):
+        # 10**8 replicates are 195,313 spans: none is listed, and each tally is added as it comes.
+        monkeypatch.setattr(sim, "_run_span", lambda scenario, start, stop: [(1, stop - start)])
+        scenario = null_scenario(group_sizes=(5, 5), sigma_ratios=(1.0, 1.0), tests=("anova",), replications=10**8)
+        tracemalloc.start()
+        try:
+            cell, = run_grid((scenario,), workers=1).cells
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (cell.rejections, cell.error_count) == (math.ceil(10**8 / 512), 10**8)
+        assert peak < 2**20
+
     def test_different_seeds_differ(self):
         a = run_grid((null_scenario(),))
         b = run_grid((null_scenario(master_seed=999),))
@@ -324,15 +345,15 @@ class TestWorkerFaults:
         return code, out.read_bytes() if code == 0 else None, capfd.readouterr().err
 
     def test_a_worker_that_leaves_before_writing_gives_the_one_worker_cells(self, tmp_path, monkeypatch, capfd):
-        parent, run_spans = os.getpid(), sim._run_spans
+        parent, run_share = os.getpid(), sim._run_share
 
-        def leave_in_workers(spans):
+        def leave_in_workers(*share):
             if os.getpid() != parent:
                 os._exit(0)
-            return run_spans(spans)
+            return run_share(*share)
 
         monkeypatch.setattr(sim, "_usable_cpus", lambda: 2)
-        monkeypatch.setattr(sim, "_run_spans", leave_in_workers)
+        monkeypatch.setattr(sim, "_run_share", leave_in_workers)
         one = self._simulate(tmp_path, "1", capfd)
         two = self._simulate(tmp_path, "2", capfd)
         assert one == two
